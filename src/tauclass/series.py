@@ -546,7 +546,8 @@ class GradedPoly:
         self._check(other)
         data = dict(self.terms)
         for e, c in other.terms.items():
-            s = data.get(e, _ring_zero(self.ring)) + c
+            prev = data.get(e)
+            s = c if prev is None else prev + c
             if s:
                 data[e] = s
             elif e in data:
@@ -573,7 +574,8 @@ class GradedPoly:
                 e = tuple(a + b for a, b in zip(e1, e2))
                 if any(x > n for x, n in zip(e, self.dims)):
                     continue
-                s = data.get(e, _ring_zero(self.ring)) + c1 * c2
+                prev = data.get(e)
+                s = c1 * c2 if prev is None else prev + c1 * c2
                 if s:
                     data[e] = s
                 elif e in data:
@@ -709,8 +711,9 @@ def multiplicative_class(spec: ClassSpec, total_chern: GradedPoly, rank: int) ->
 
     Power sums of the roots are recovered from the elementary symmetric
     parts of the total Chern class by Newton's identities, then
-    cl(E) = exp(sum_j b_j p_j) with log f = sum_j b_j t^j.  Exact in the
-    truncated ring the input lives in.
+    cl(E) = exp(sum_j b_j p_j) with log f = sum_j b_j t^j, built one
+    homogeneous degree at a time.  Exact in the truncated ring the input
+    lives in.
     """
     if rank < 0:
         raise ValueError("rank must be >= 0")
@@ -735,17 +738,22 @@ def multiplicative_class(spec: ClassSpec, total_chern: GradedPoly, rank: int) ->
             acc = acc + (e_part(i) * p[k - i]).scale((-1) ** (i - 1))
         p.append(acc)
 
-    arg = GradedPoly.zero(spec.ring, dims)
-    for j in range(1, top + 1):
-        arg = arg + p[j].scale(b[j])
-
-    result = GradedPoly.one(spec.ring, dims)
-    term = GradedPoly.one(spec.ring, dims)
-    for m in range(1, top + 1):
-        term = term * arg
-        if term.is_zero():
-            break
-        result = result + term.scale(Fraction(1, factorial(m)))
+    # exp of arg = sum_j A_j, A_j = b_j p_j homogeneous of degree j: the
+    # degree operator D is a derivation (it descends to the quotient because
+    # the ideal (h_i^{n_i+1}) is homogeneous) with D(exp A) = D(A) exp A, so
+    # the degree-k part is E_k = (1/k) sum_{j=1..k} (j A_j) E_{k-j}.
+    d_arg = [p[j].scale(j * b[j]) for j in range(top + 1)]
+    parts = [GradedPoly.one(spec.ring, dims)]
+    result = parts[0]
+    for k in range(1, top + 1):
+        acc = GradedPoly.zero(spec.ring, dims)
+        for j in range(1, k + 1):
+            if d_arg[j].is_zero() or parts[k - j].is_zero():
+                continue
+            acc = acc + d_arg[j] * parts[k - j]
+        part = acc.scale(Fraction(1, k))
+        parts.append(part)
+        result = result + part
     return result
 
 

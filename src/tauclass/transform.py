@@ -221,14 +221,8 @@ def tau(inv: Invariant, element: KElement):
     for key, coeff in element.terms.items():
         triple = key.representative(element.base)
         value = eval_invariant(inv, triple.space)
-        acc = _add_values(acc, _scale_value(_push_value(triple.arrow, value), coeff))
+        acc = acc + _scale_value(_push_value(triple.arrow, value), coeff)
     return acc
-
-
-def _add_values(a, b):
-    if isinstance(a, (HClass, ConstrFn)):
-        return a + b
-    return a + b
 
 
 @dataclass
@@ -598,6 +592,8 @@ SUITE_NAMES = ("naturality", "multiplicativity", "verdier-rr", "const-diagram", 
 
 def run_suite(name: str, seed: int, max_dim: int = 5,
               max_components: int = 3) -> list[CheckReport]:
+    if max_dim < 0:
+        raise ValueError(f"max dim must be >= 0, got {max_dim}")
     if name == "naturality":
         return suite_naturality(seed, max_dim=max_dim, max_components=max_components)
     if name == "multiplicativity":

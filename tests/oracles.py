@@ -196,3 +196,42 @@ def root_splitting_class(spec, total_chern, rank):
             part = part - basis_in_roots.scale(coeff)
             result = result + substituted.scale(coeff)
     return result
+
+
+def exp_by_powers_class(spec, total_chern, rank):
+    """Oracle for multiplicative classes: the same Newton-identity power
+    sums as production, then exp(arg) = sum_m arg^m / m! by full products
+    of the whole argument instead of the graded recurrence."""
+    from math import factorial
+
+    from tauclass.series import GradedPoly
+
+    ring = spec.ring
+    chern = total_chern.with_ring(ring)
+    dims = chern.dims
+    top = chern.total_degree_cap()
+    b = spec.series.truncate(top).log().coeffs
+    e = [chern.graded_part(d) for d in range(top + 1)]
+
+    def e_part(j):
+        return e[j] if j <= min(rank, top) else GradedPoly.zero(ring, dims)
+
+    p = [GradedPoly.zero(ring, dims)]
+    for k in range(1, top + 1):
+        acc = e_part(k).scale(((-1) ** (k - 1)) * k)
+        for i in range(1, k):
+            acc = acc + (e_part(i) * p[k - i]).scale((-1) ** (i - 1))
+        p.append(acc)
+
+    arg = GradedPoly.zero(ring, dims)
+    for j in range(1, top + 1):
+        arg = arg + p[j].scale(b[j])
+
+    result = GradedPoly.one(ring, dims)
+    term = GradedPoly.one(ring, dims)
+    for m in range(1, top + 1):
+        term = term * arg
+        if term.is_zero():
+            break
+        result = result + term.scale(Fraction(1, factorial(m)))
+    return result

@@ -1,9 +1,11 @@
+import hashlib
 import json
 
 import jsonschema
 import pytest
 
 from tauclass.cli import main, schema_path
+from tauclass.transform import SUITE_NAMES
 
 SCHEMA = json.loads(schema_path().read_text())
 
@@ -132,6 +134,21 @@ class TestCheckCommand:
         )
         assert first == second
 
+    @pytest.mark.parametrize("suite", SUITE_NAMES)
+    def test_negative_max_dim_is_usage_error(self, capsys, suite):
+        code = main(["check", suite, "--max-dim", "-1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("suite", SUITE_NAMES)
+    def test_zero_max_dim_runs(self, capsys, suite):
+        code, payload, _ = run_json(capsys, "check", suite, "--max-dim", "0")
+        assert code == 0
+        assert payload["passed"] is True
+
     def test_text_summary(self, capsys):
         code, out = run_cli(capsys, "check", "const-diagram", "--max-dim", "2")
         assert code == 0
@@ -223,3 +240,27 @@ class TestDeterminism:
         _, first = run_cli(capsys, *argv, "--format", "json")
         _, second = run_cli(capsys, *argv, "--format", "json")
         assert first == second
+
+
+class TestGoldenOutput:
+    """stdout digests of fixed commands: rendered classes and check
+    reports must stay byte-identical when the arithmetic kernel changes."""
+
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (("check", "all", "--seed", "7", "--max-dim", "4"),
+             "e74c2c6debbb2cca9064c4d2772d73a3ca24c3b6b5333fb505f1af679f100a38"),
+            (("classes", "P40", "--class", "todd", "--max-degree", "40"),
+             "23092ee6829d32038a7c5dc71a193e05e40a8016ff7adc9ef4ee6142494fc048"),
+            (("classes", "P16", "--class", "ty", "--max-degree", "16"),
+             "868a35ae8dca05b0eccfdfec019b7f91f1f3c4b677d13c222653f2e3a55dbbe3"),
+            (("genus", "P1 x P2 x P3"),
+             "3abaf6589137f470c1d78dd581d6fdd1a2c396dab525a1e547f1aa86c6ebde44"),
+        ],
+        ids=["check-all", "todd-P40", "ty-P16", "genus-P1xP2xP3"],
+    )
+    def test_stdout_digest(self, capsys, argv, digest):
+        code, out = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -22,7 +22,13 @@ from tauclass.series import (
     virtual_class,
 )
 
-from oracles import TANH_COEFFS, bernoulli_plus, root_splitting_class, series_quotient
+from oracles import (
+    TANH_COEFFS,
+    bernoulli_plus,
+    exp_by_powers_class,
+    root_splitting_class,
+    series_quotient,
+)
 
 
 class TestNamedSeries:
@@ -259,6 +265,49 @@ class TestMultiplicativeClass:
             spec, cf, rank_f
         )
         assert left == right
+
+
+small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def normalized_totals(draw):
+    """A total Chern class 1 + ... on 1-3 factors of dims <= 3, with a
+    rank between its top nonzero degree and the top degree of the ring."""
+    from itertools import product as iproduct
+
+    dims = tuple(draw(st.lists(st.integers(0, 3), min_size=1, max_size=3)))
+    top = sum(dims)
+    cut = draw(st.integers(0, top))
+    terms = {(0,) * len(dims): 1}
+    for exp in iproduct(*(range(n + 1) for n in dims)):
+        if 0 < sum(exp) <= cut:
+            terms[exp] = draw(small_fractions)
+    total = GradedPoly(RATIONAL, dims, terms)
+    highest = max(sum(e) for e in total.terms)
+    return total, draw(st.integers(highest, top))
+
+
+@st.composite
+def class_specs(draw, cap):
+    kind = draw(st.sampled_from(["chern", "todd", "l", "ty", "random-y"]))
+    if kind != "random-y":
+        return {"chern": chern_spec, "todd": todd_spec, "l": l_spec, "ty": ty_spec}[kind](cap)
+    coeffs = [1] + [
+        YPoly(draw(st.lists(small_fractions, max_size=3))) for _ in range(cap)
+    ]
+    return ClassSpec("random-y", Series1(RATIONAL_Y, coeffs, cap=cap))
+
+
+class TestGradedExpRecurrence:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_equals_exp_by_powers(self, data):
+        total, rank = data.draw(normalized_totals())
+        spec = data.draw(class_specs(total.total_degree_cap() + data.draw(st.integers(0, 2))))
+        assert multiplicative_class(spec, total, rank) == exp_by_powers_class(
+            spec, total, rank
+        )
 
 
 class TestVirtualClass:
