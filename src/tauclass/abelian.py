@@ -65,10 +65,6 @@ class FormalSum:
     def support(self):
         return sorted(self._terms)
 
-    def map_keys(self, fn):
-        """Push the sum along ``key -> fn(key)``, merging collisions."""
-        return FormalSum((fn(k), c) for k, c in self._terms.items())
-
     def __add__(self, other):
         if not isinstance(other, FormalSum):
             return NotImplemented
@@ -159,13 +155,6 @@ class IntMatrix:
 
     def row(self, i):
         return self.entries[i]
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols,
-            self.rows,
-            tuple(tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols)),
-        )
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:

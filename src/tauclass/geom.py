@@ -173,9 +173,6 @@ class ToyMorphism:
             s for s in range(len(self.source.components[i])) if s not in used
         )
 
-    def is_identity(self) -> bool:
-        return self == identity_morphism(self.source)
-
     def fiber_euler_char(self, i: int) -> int:
         """Euler characteristic of the fiber over the image of component i."""
         prod = 1
@@ -451,21 +448,24 @@ def pushforward(f: ToyMorphism, c: HClass) -> HClass:
     """
     if c.space != f.source:
         raise ValueError("class does not live on the source of the morphism")
-    out = [GradedPoly.zero(c.ring, comp) for comp in f.target.components]
+    sums = [{} for _ in f.target.components]
     for i, (j, assignment) in enumerate(f.legs):
         comp = f.source.components[i]
         gone = f.unassigned(i)
-        contrib = {}
+        contrib = sums[j]
         for exp, coeff in c.polys[i].terms.items():
             if any(exp[s] != comp[s] for s in gone):
                 continue
             target_exp = tuple(exp[s] for s in assignment)
-            if target_exp in contrib:
-                contrib[target_exp] = contrib[target_exp] + coeff
-            else:
-                contrib[target_exp] = coeff
-        out[j] = out[j] + GradedPoly(c.ring, f.target.components[j], contrib)
-    return HClass(f.target, c.ring, tuple(out))
+            prev = contrib.get(target_exp)
+            contrib[target_exp] = coeff if prev is None else prev + coeff
+    # assigned factors keep their dimensions, so every exponent fits the
+    # target component; only sums that cancelled need dropping
+    polys = tuple(
+        GradedPoly._trusted(c.ring, comp, {e: v for e, v in contrib.items() if v})
+        for comp, contrib in zip(f.target.components, sums)
+    )
+    return HClass(f.target, c.ring, polys)
 
 
 def pullback(f: ToyMorphism, c: HClass) -> HClass:
@@ -481,7 +481,8 @@ def pullback(f: ToyMorphism, c: HClass) -> HClass:
             for t, s in enumerate(assignment):
                 new_exp[s] = exp[t]
             terms[tuple(new_exp)] = coeff
-        polys.append(GradedPoly(c.ring, comp, terms))
+        # an injective relabelling of nonzero terms between equal dimensions
+        polys.append(GradedPoly._trusted(c.ring, comp, terms))
     return HClass(f.source, c.ring, tuple(polys))
 
 
@@ -498,7 +499,8 @@ def cross(c: HClass, d: HClass) -> HClass:
             for e1, c1 in px.terms.items():
                 for e2, c2 in py.terms.items():
                     terms[e1 + e2] = c1 * c2
-            polys.append(GradedPoly(c.ring, dims, terms))
+            # distinct concatenated exponents; Q and Q[y] have no zero divisors
+            polys.append(GradedPoly._trusted(c.ring, dims, terms))
     return HClass(space, c.ring, tuple(polys))
 
 

@@ -14,7 +14,6 @@ triples to their product triple over the product base.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 from .abelian import FormalSum
 from .geom import (
@@ -80,22 +79,24 @@ class TripleClass:
 
 
 def _canonical_class(comp_dims: tuple[int, ...], leg) -> TripleClass:
-    """Least representative under dimension-preserving source relabelings."""
+    """Least representative under dimension-preserving source relabelings.
+
+    A relabeling that sorts the dimensions may order each block of equal
+    dimensions freely, and blocks do not interact.  Giving each assigned
+    factor, in target order, the next free slot of its block is therefore
+    the lexicographically least choice.
+    """
     j, assignment = leg
-    k = len(comp_dims)
     sorted_dims = tuple(sorted(comp_dims))
-    best = None
-    # relabelings old index -> new position that realize the sorted dims
-    for perm in permutations(range(k)):
-        if tuple(comp_dims[perm[pos]] for pos in range(k)) != sorted_dims:
-            continue
-        position = [0] * k
-        for pos, old in enumerate(perm):
-            position[old] = pos
-        candidate = tuple(position[s] for s in assignment)
-        if best is None or candidate < best:
-            best = candidate
-    return TripleClass(sorted_dims, j, best if best is not None else ())
+    next_free = {}
+    for pos, d in enumerate(sorted_dims):
+        next_free.setdefault(d, pos)
+    canonical = []
+    for s in assignment:
+        d = comp_dims[s]
+        canonical.append(next_free[d])
+        next_free[d] += 1
+    return TripleClass(sorted_dims, j, tuple(canonical))
 
 
 @dataclass(frozen=True)

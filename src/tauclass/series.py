@@ -204,6 +204,13 @@ def _ring_one(ring: str):
     return _coerce(ring, 1)
 
 
+def _valid_dims(dims) -> tuple[int, ...]:
+    dims = tuple(int(n) for n in dims)
+    if any(n < 0 for n in dims):
+        raise ValueError("variable dims must be >= 0")
+    return dims
+
+
 def _same_ring(a: str, b: str):
     if a != b:
         raise ValueError(f"coefficient ring mismatch: {a!r} vs {b!r}")
@@ -467,9 +474,7 @@ class GradedPoly:
     __slots__ = ("ring", "dims", "terms")
 
     def __init__(self, ring, dims, terms=()):
-        dims = tuple(int(n) for n in dims)
-        if any(n < 0 for n in dims):
-            raise ValueError("variable dims must be >= 0")
+        dims = _valid_dims(dims)
         data = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for exp, coeff in items:
@@ -478,7 +483,10 @@ class GradedPoly:
                 raise ValueError("exponent arity mismatch")
             if any(e < 0 or e > n for e, n in zip(exp, dims)):
                 raise ValueError(f"exponent {exp} outside dims {dims}")
-            c = data.get(exp, _ring_zero(ring)) + _coerce(ring, coeff)
+            c = _coerce(ring, coeff)
+            prev = data.get(exp)
+            if prev is not None:
+                c = prev + c
             if c:
                 data[exp] = c
             elif exp in data:
@@ -488,12 +496,30 @@ class GradedPoly:
         self.terms = data
 
     @classmethod
+    def _trusted(cls, ring, dims, terms):
+        """Internal constructor for results canonical by construction.
+
+        ``dims`` must be a tuple of ints >= 0 and ``terms`` a dict from
+        exponent tuples within ``dims`` to nonzero coefficients of the
+        ring's type (``Fraction`` for Q, ``YPoly`` for Q[y]); nothing is
+        checked or copied.  Values are never mutated after construction,
+        so ``terms`` may be shared.
+        """
+        out = object.__new__(cls)
+        out.ring = ring
+        out.dims = dims
+        out.terms = terms
+        return out
+
+    @classmethod
     def zero(cls, ring, dims):
-        return cls(ring, dims)
+        return cls._trusted(ring, _valid_dims(dims), {})
 
     @classmethod
     def constant(cls, ring, dims, value):
-        return cls(ring, dims, {(0,) * len(dims): value})
+        dims = _valid_dims(dims)
+        c = _coerce(ring, value)
+        return cls._trusted(ring, dims, {(0,) * len(dims): c} if c else {})
 
     @classmethod
     def one(cls, ring, dims):
@@ -501,12 +527,13 @@ class GradedPoly:
 
     @classmethod
     def variable(cls, ring, dims, i):
+        dims = _valid_dims(dims)
         if dims[i] == 0:
             # nilpotent of order 1: the variable is zero in the quotient
-            return cls.zero(ring, dims)
+            return cls._trusted(ring, dims, {})
         exp = [0] * len(dims)
         exp[i] = 1
-        return cls(ring, dims, {tuple(exp): 1})
+        return cls._trusted(ring, dims, {tuple(exp): _ring_one(ring)})
 
     def items(self):
         """Terms sorted by (total degree, exponent tuple)."""
@@ -526,7 +553,7 @@ class GradedPoly:
         return sum(self.dims)
 
     def graded_part(self, d: int) -> "GradedPoly":
-        return GradedPoly(
+        return GradedPoly._trusted(
             self.ring,
             self.dims,
             {e: c for e, c in self.terms.items() if sum(e) == d},
@@ -552,14 +579,12 @@ class GradedPoly:
                 data[e] = s
             elif e in data:
                 del data[e]
-        out = GradedPoly(self.ring, self.dims)
-        out.terms = data
-        return out
+        return GradedPoly._trusted(self.ring, self.dims, data)
 
     def __neg__(self):
-        out = GradedPoly(self.ring, self.dims)
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return GradedPoly._trusted(
+            self.ring, self.dims, {e: -c for e, c in self.terms.items()}
+        )
 
     def __sub__(self, other):
         return self + (-other)
@@ -580,19 +605,20 @@ class GradedPoly:
                     data[e] = s
                 elif e in data:
                     del data[e]
-        out = GradedPoly(self.ring, self.dims)
-        out.terms = data
-        return out
+        return GradedPoly._trusted(self.ring, self.dims, data)
 
     __rmul__ = __mul__
 
     def scale(self, value):
+        if value == 1:
+            # values are immutable, so the unscaled polynomial can be shared
+            return self
         factor = _coerce(self.ring, value)
         if not factor:
-            return GradedPoly.zero(self.ring, self.dims)
-        out = GradedPoly(self.ring, self.dims)
-        out.terms = {e: c * factor for e, c in self.terms.items()}
-        return out
+            return GradedPoly._trusted(self.ring, self.dims, {})
+        return GradedPoly._trusted(
+            self.ring, self.dims, {e: c * factor for e, c in self.terms.items()}
+        )
 
     def __pow__(self, n: int) -> "GradedPoly":
         if n < 0:

@@ -8,6 +8,7 @@ and symmetric-function expansions.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import permutations
 from itertools import product as iproduct
 
 from tauclass.abelian import FpMonoid
@@ -235,3 +236,26 @@ def exp_by_powers_class(spec, total_chern, rank):
             break
         result = result + term.scale(Fraction(1, factorial(m)))
     return result
+
+
+def canonical_class_by_permutations(comp_dims, leg):
+    """Oracle for canonical triple classes: try every relabeling of the
+    source factors that sorts the dimensions and keep the least
+    relabeled assignment (k! candidates for k factors)."""
+    from tauclass.relk import TripleClass
+
+    j, assignment = leg
+    k = len(comp_dims)
+    sorted_dims = tuple(sorted(comp_dims))
+    best = None
+    # relabelings old index -> new position that realize the sorted dims
+    for perm in permutations(range(k)):
+        if tuple(comp_dims[perm[pos]] for pos in range(k)) != sorted_dims:
+            continue
+        position = [0] * k
+        for pos, old in enumerate(perm):
+            position[old] = pos
+        candidate = tuple(position[s] for s in assignment)
+        if best is None or candidate < best:
+            best = candidate
+    return TripleClass(sorted_dims, j, best if best is not None else ())

@@ -257,8 +257,13 @@ class TestGoldenOutput:
              "868a35ae8dca05b0eccfdfec019b7f91f1f3c4b677d13c222653f2e3a55dbbe3"),
             (("genus", "P1 x P2 x P3"),
              "3abaf6589137f470c1d78dd581d6fdd1a2c396dab525a1e547f1aa86c6ebde44"),
+            (("check", "verdier-rr", "--seed", "7"),
+             "370aa113f8f6919d0f170bec2999e545ccdcd15c5d2418390af69fa8b8195d81"),
+            (("check", "multiplicativity", "--seed", "8"),
+             "e6b1c3e86f82fda78597ea3193aa89a161efe4d8295ee2305bf31bec5e6870c1"),
         ],
-        ids=["check-all", "todd-P40", "ty-P16", "genus-P1xP2xP3"],
+        ids=["check-all", "todd-P40", "ty-P16", "genus-P1xP2xP3", "verdier-rr-7",
+             "multiplicativity-8"],
     )
     def test_stdout_digest(self, capsys, argv, digest):
         code, out = run_cli(capsys, *argv, "--format", "json")

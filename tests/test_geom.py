@@ -2,6 +2,8 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tauclass.geom import (
     EMPTY,
@@ -32,6 +34,8 @@ from tauclass.geom import (
     to_point,
 )
 from tauclass.series import RATIONAL, GradedPoly
+
+from graded_checks import assert_canonical_class, hclasses, projections, rings
 
 P1 = projective(1)
 P2 = projective(2)
@@ -361,6 +365,36 @@ class TestCross:
         # restriction to each piece is the unit of that piece
         assert c.polys[0] == GradedPoly.one(RATIONAL, (1,))
         assert c.polys[1] == GradedPoly.one(RATIONAL, (2,))
+
+
+class TestTrustedResults:
+    """pushforward, pullback and cross build their polynomials without
+    re-validation; each must still be what the validating constructor
+    would have built."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(rings, projections(), st.data())
+    def test_pushforward_and_pullback_are_canonical(self, ring, f, data):
+        c = data.draw(hclasses(ring, f.source))
+        d = data.draw(hclasses(ring, f.target))
+        assert_canonical_class(pushforward(f, c))
+        assert_canonical_class(pullback(f, d))
+        # two copies of the source carrying c and -c push forward to zero
+        doubled = ToyMorphism(
+            disjoint_union(f.source, f.source), f.target, f.legs + f.legs
+        )
+        c_and_minus_c = HClass(doubled.source, ring, c.polys + (-c).polys)
+        pushed = pushforward(doubled, c_and_minus_c)
+        assert_canonical_class(pushed)
+        assert pushed.is_zero()
+
+    @settings(max_examples=100, deadline=None)
+    @given(rings, projections(), projections(), st.data())
+    def test_cross_is_canonical(self, ring, f, g, data):
+        c = data.draw(hclasses(ring, f.source))
+        d = data.draw(hclasses(ring, g.target))
+        assert_canonical_class(cross(c, d))
+        assert_canonical_class(cross(d, c))
 
 
 class TestInclusionsAndEnumeration:

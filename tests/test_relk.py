@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tauclass.geom import (
     EMPTY,
@@ -26,6 +28,8 @@ from tauclass.relk import (
     pullback_k,
     pushforward_k,
 )
+
+from oracles import canonical_class_by_permutations
 
 P1 = projective(1)
 P2 = projective(2)
@@ -115,6 +119,28 @@ class TestCanonicalization:
         a = k_class(Triple(v, base, ToyMorphism(v, base, ((0, (0,)),))))
         b = k_class(Triple(v, base, ToyMorphism(v, base, ((1, (0,)),))))
         assert a != b
+
+
+@st.composite
+def connected_legs(draw):
+    """0-7 source factors of dims 0-3 and a random injective assignment."""
+    dims = tuple(draw(st.lists(st.integers(0, 3), max_size=7)))
+    size = draw(st.integers(0, len(dims)))
+    assignment = tuple(draw(st.permutations(range(len(dims))))[:size])
+    return dims, assignment
+
+
+class TestClosedFormCanonicalClass:
+    @settings(max_examples=200, deadline=None)
+    @given(connected_legs())
+    def test_matches_permutation_search(self, case):
+        dims, assignment = case
+        space = ToySpace((dims,))
+        base = ToySpace((tuple(dims[s] for s in assignment),))
+        e = k_class(Triple(space, base, ToyMorphism(space, base, ((0, assignment),))))
+        ((key, coeff),) = e.generators()
+        assert coeff == 1
+        assert key == canonical_class_by_permutations(dims, (0, assignment))
 
 
 class TestGroupStructure:

@@ -22,6 +22,14 @@ from tauclass.series import (
     virtual_class,
 )
 
+from graded_checks import (
+    assert_canonical,
+    coefficients,
+    factor_dims,
+    graded_polys,
+    rings,
+    small_fractions,
+)
 from oracles import (
     TANH_COEFFS,
     bernoulli_plus,
@@ -267,9 +275,6 @@ class TestMultiplicativeClass:
         assert left == right
 
 
-small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
-
-
 @st.composite
 def normalized_totals(draw):
     """A total Chern class 1 + ... on 1-3 factors of dims <= 3, with a
@@ -308,6 +313,57 @@ class TestGradedExpRecurrence:
         assert multiplicative_class(spec, total, rank) == exp_by_powers_class(
             spec, total, rank
         )
+
+
+class TestTrustedResults:
+    """Kernel results are built without re-validation; each must still be
+    what the validating constructor would have built."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_arithmetic_results_are_canonical(self, data):
+        ring = data.draw(rings)
+        dims = data.draw(factor_dims)
+        p = data.draw(graded_polys(ring, dims))
+        q = data.draw(graded_polys(ring, dims))
+        results = [p + q, p - q, p - p, -p, p * q, p * p, q * p]
+        results += [p.graded_part(d) for d in range(sum(dims) + 2)]
+        for value in (0, 1, Fraction(1), -1, data.draw(coefficients(ring))):
+            results.append(p.scale(value))
+        for r in results:
+            assert_canonical(r)
+        assert (p - p).is_zero()
+
+    @settings(max_examples=60, deadline=None)
+    @given(rings, factor_dims, st.data())
+    def test_constructors_are_canonical(self, ring, dims, data):
+        results = [
+            GradedPoly.zero(ring, dims),
+            GradedPoly.one(ring, dims),
+            GradedPoly.constant(ring, dims, data.draw(coefficients(ring))),
+        ]
+        results += [GradedPoly.variable(ring, dims, i) for i in range(len(dims))]
+        for r in results:
+            assert_canonical(r)
+
+    @pytest.mark.parametrize("one", [1, Fraction(1), YPoly.of(1)])
+    def test_scale_by_one_shares_the_value(self, one):
+        p = GradedPoly(RATIONAL_Y, (2,), {(0,): YPoly([1, 1]), (1,): 3})
+        assert p.scale(one) is p
+
+    def test_scale_by_zero(self):
+        p = GradedPoly(RATIONAL, (1, 1), {(0, 0): 1, (1, 1): 2})
+        assert p.scale(0) == GradedPoly.zero(RATIONAL, (1, 1))
+
+    def test_validating_constructor_merges_and_drops(self):
+        p = GradedPoly(RATIONAL, (2,), [((1,), 2), ((1,), -2), ((2,), 1), ((0,), 0)])
+        assert p.terms == {(2,): Fraction(1)}
+        with pytest.raises(ValueError, match="outside dims"):
+            GradedPoly(RATIONAL, (1,), {(2,): 1})
+        with pytest.raises(ValueError, match="arity"):
+            GradedPoly(RATIONAL, (1,), {(0, 0): 1})
+        with pytest.raises(ValueError, match="dims"):
+            GradedPoly.zero(RATIONAL, (-1,))
 
 
 class TestVirtualClass:
