@@ -13,10 +13,8 @@ so no separate wrapper types are introduced.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 __all__ = [
-    "Rat",
     "FormalSum",
     "IntMatrix",
     "SmithForm",
@@ -26,9 +24,6 @@ __all__ = [
     "group_completion",
     "parse_monoid_text",
 ]
-
-# Canonical exact rational type.
-Rat = Fraction
 
 
 class FormalSum:

@@ -73,6 +73,15 @@ class FinCategory:
         for f in list(self.source) + list(self.target):
             if not 0 <= f < len(self.object_names):
                 raise ValueError("morphism endpoint out of range")
+        # adjacency index, morphisms ascending; composition is never
+        # indexed because callers may edit the table after construction
+        outgoing = [[] for _ in self.object_names]
+        homs = {}
+        for f, (a, b) in enumerate(zip(self.source, self.target)):
+            outgoing[a].append(f)
+            homs.setdefault((a, b), []).append(f)
+        self.outgoing = tuple(tuple(fs) for fs in outgoing)
+        self.homs = {key: tuple(fs) for key, fs in homs.items()}
 
     @property
     def n_objects(self) -> int:
@@ -82,12 +91,8 @@ class FinCategory:
     def n_morphisms(self) -> int:
         return len(self.morphism_names)
 
-    def hom(self, a: int, b: int) -> list[int]:
-        return [
-            f
-            for f in range(self.n_morphisms)
-            if self.source[f] == a and self.target[f] == b
-        ]
+    def hom(self, a: int, b: int) -> tuple[int, ...]:
+        return self.homs.get((a, b), ())
 
     def compose(self, f: int, g: int) -> int:
         """g after f; KeyError when the pair is not in the table."""
@@ -125,7 +130,12 @@ def discrete_category(names) -> FinCategory:
 
 
 def verify_category(c: FinCategory) -> list[str]:
-    """Exhaustive law check; returns one message per violation."""
+    """Exhaustive law check; returns one message per violation.
+
+    Visits only composable pairs and triples, plus the pairs the table
+    defines without being composable; messages come in the order of
+    (f, g) and (f, g, h) ascending.
+    """
     bad = []
     for x, e in enumerate(c.identity):
         if not 0 <= e < c.n_morphisms:
@@ -133,36 +143,42 @@ def verify_category(c: FinCategory) -> list[str]:
             continue
         if c.source[e] != x or c.target[e] != x:
             bad.append(f"identity of {c.object_names[x]} is not an endomorphism")
-    names = c.morphism_names
-    for f in range(c.n_morphisms):
-        for g in range(c.n_morphisms):
-            composable = c.target[f] == c.source[g]
-            defined = (f, g) in c.composition
-            if composable and not defined:
-                bad.append(f"missing composite of {names[f]} then {names[g]}")
-            if defined and not composable:
+    names, source, target, outgoing = c.morphism_names, c.source, c.target, c.outgoing
+    m = c.n_morphisms
+    get = c.composition.get
+    stray = {}
+    for f, g in c.composition:
+        if 0 <= f < m and 0 <= g < m and target[f] != source[g]:
+            stray.setdefault(f, []).append(g)
+    missing = object()
+    for f in range(m):
+        gs = outgoing[target[f]]
+        if f in stray:
+            gs = sorted(gs + tuple(stray[f]))
+        for g in gs:
+            h = get((f, g), missing)
+            if target[f] != source[g]:
                 bad.append(f"composite of non-composable {names[f]}, {names[g]}")
-            if composable and defined:
-                h = c.composition[(f, g)]
-                if c.source[h] != c.source[f] or c.target[h] != c.target[g]:
-                    bad.append(f"composite {names[f]};{names[g]} has wrong endpoints")
-    for x in range(c.n_objects):
-        e = c.identity[x]
-        for f in range(c.n_morphisms):
-            if c.source[f] == x and c.composition.get((e, f)) != f:
-                bad.append(f"left identity fails at {names[f]}")
-            if c.target[f] == x and c.composition.get((f, e)) != f:
-                bad.append(f"right identity fails at {names[f]}")
-    for f in range(c.n_morphisms):
-        for g in range(c.n_morphisms):
-            if c.target[f] != c.source[g]:
-                continue
-            for h in range(c.n_morphisms):
-                if c.target[g] != c.source[h]:
-                    continue
-                left = c.composition.get((c.composition.get((f, g)), h))
-                right = c.composition.get((f, c.composition.get((g, h))))
-                if left != right:
+            elif h is missing:
+                bad.append(f"missing composite of {names[f]} then {names[g]}")
+            elif source[h] != source[f] or target[h] != target[g]:
+                bad.append(f"composite {names[f]};{names[g]} has wrong endpoints")
+    # identity laws, grouped by object as in a scan over (x, f)
+    by_object = [[] for _ in range(c.n_objects)]
+    for f in range(m):
+        if get((c.identity[source[f]], f)) != f:
+            by_object[source[f]].append(f"left identity fails at {names[f]}")
+        if get((f, c.identity[target[f]])) != f:
+            by_object[target[f]].append(f"right identity fails at {names[f]}")
+    for msgs in by_object:
+        bad.extend(msgs)
+    # g . h for every g, read once; then (f, g, h) with h leaving target(g)
+    after = [[(h, get((g, h))) for h in outgoing[target[g]]] for g in range(m)]
+    for f in range(m):
+        for g in outgoing[target[f]]:
+            fg = get((f, g))
+            for h, gh in after[g]:
+                if get((fg, h)) != get((f, gh)):
                     bad.append(
                         "associativity fails on "
                         f"({names[f]}, {names[g]}, {names[h]})"
@@ -304,14 +320,17 @@ def build_comma(cospan: Cospan,
     for k, (gs, gt) in enumerate(pairs):
         index[(pair_source[k], pair_target[k], gs, gt)] = k
 
+    leaving = [[] for _ in triples]
+    for k, i in enumerate(pair_source):
+        leaving[i].append(k)
     composition = {}
-    for k1 in range(len(pairs)):
-        for k2 in range(len(pairs)):
-            if pair_target[k1] != pair_source[k2]:
-                continue
-            gs = cs.compose(pairs[k1][0], pairs[k2][0])
-            gt = ct.compose(pairs[k1][1], pairs[k2][1])
-            composition[(k1, k2)] = index[(pair_source[k1], pair_target[k2], gs, gt)]
+    for k1, (gs1, gt1) in enumerate(pairs):
+        i = pair_source[k1]
+        for k2 in leaving[pair_target[k1]]:
+            gs2, gt2 = pairs[k2]
+            composition[(k1, k2)] = index[
+                (i, pair_target[k2], cs.compose(gs1, gs2), ct.compose(gt1, gt2))
+            ]
 
     identity = []
     for i, (v, x, h) in enumerate(triples):
@@ -458,17 +477,18 @@ def s_over_category(cospan: Cospan, x: int) -> FinCategory:
         for h in base.hom(s.object_map[v], tx):
             objects.append((v, h))
     morphisms = []
+    leaving = [[] for _ in objects]
     for i, (v1, h1) in enumerate(objects):
         for j, (v2, h2) in enumerate(objects):
             for gs in cs.hom(v1, v2):
                 if base.compose(s.morphism_map[gs], h2) == h1:
+                    leaving[i].append(len(morphisms))
                     morphisms.append((gs, i, j))
     index = {m: k for k, m in enumerate(morphisms)}
     composition = {}
     for k1, (g1, i1, j1) in enumerate(morphisms):
-        for k2, (g2, i2, j2) in enumerate(morphisms):
-            if j1 != i2:
-                continue
+        for k2 in leaving[j1]:
+            g2, _, j2 = morphisms[k2]
             composition[(k1, k2)] = index[(cs.compose(g1, g2), i1, j2)]
     identity = [
         index[(cs.identity[v], i, i)] for i, (v, h) in enumerate(objects)
@@ -592,7 +612,12 @@ def _parse_category_block(lines, start, name):
         head, _, rest = line.partition(" ")
         rest = rest.strip()
         if head == "objects":
-            objects.extend(rest.split())
+            for x in rest.split():
+                if x in objects:
+                    raise CospanParseError(
+                        lineno, f"category {name!r}: duplicate object {x!r}"
+                    )
+                objects.append(x)
         elif head == "arrow":
             try:
                 decl, endpoints = rest.split(":")
@@ -640,6 +665,8 @@ def _assemble_category(name, objects, arrows, compose_rows):
 
 
 def _parse_functor_block(lines, start, name, dom, cod):
+    dom_obj = {x: i for i, x in enumerate(dom.object_names)}
+    dom_mor = {x: i for i, x in enumerate(dom.morphism_names)}
     obj_map = {}
     arr_map = {}
     i = start
@@ -655,17 +682,23 @@ def _parse_functor_block(lines, start, name, dom, cod):
             raise CospanParseError(lineno, "expected 'obj a = b' or 'arrow f = g'") from None
         left, right = left.strip(), right.strip()
         if head == "obj":
+            if left not in dom_obj:
+                raise CospanParseError(
+                    lineno, f"functor {name!r}: unknown domain object {left!r}"
+                )
             obj_map[left] = right
         elif head == "arrow":
+            if left not in dom_mor:
+                raise CospanParseError(
+                    lineno, f"functor {name!r}: unknown domain arrow {left!r}"
+                )
             arr_map[left] = right
         else:
             raise CospanParseError(lineno, f"unrecognized line {line!r}")
     else:
         raise CospanParseError(lines[start - 1][0], f"functor {name!r} missing 'end'")
 
-    dom_obj = {x: i for i, x in enumerate(dom.object_names)}
     cod_obj = {x: i for i, x in enumerate(cod.object_names)}
-    dom_mor = {x: i for i, x in enumerate(dom.morphism_names)}
     cod_mor = {x: i for i, x in enumerate(cod.morphism_names)}
     object_map = [0] * dom.n_objects
     for x, i_x in dom_obj.items():
@@ -706,6 +739,8 @@ def parse_cospan_text(text: str) -> Cospan:
             name = rest.strip()
             if not name:
                 raise CospanParseError(lineno, "category needs a name")
+            if name in categories:
+                raise CospanParseError(lineno, f"duplicate category {name!r}")
             cat, i = _parse_category_block(lines, i + 1, name)
             categories[name] = cat
         elif head == "functor":
@@ -717,6 +752,8 @@ def parse_cospan_text(text: str) -> Cospan:
                     lineno, "expected 'functor S : source -> base'"
                 ) from None
             name = name.strip()
+            if name in functors:
+                raise CospanParseError(lineno, f"duplicate functor {name!r}")
             dom_name, cod_name = dom_name.strip(), cod_name.strip()
             if dom_name not in categories or cod_name not in categories:
                 raise CospanParseError(lineno, "functor references unknown category")

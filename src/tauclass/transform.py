@@ -248,18 +248,21 @@ class CheckReport:
 
 
 def _report(check: str, inputs: dict, left, right) -> CheckReport:
+    # equal values render equally, so a passing check renders one side
     passed = left == right
+    left_text = render_value(left)
+    right_text = left_text if passed else render_value(right)
     difference = None
     if not passed:
         try:
             difference = render_value(left - right)
         except (TypeError, ValueError):
-            difference = f"left={render_value(left)} right={render_value(right)}"
+            difference = f"left={left_text} right={right_text}"
     return CheckReport(
         check=check,
         inputs=inputs,
-        left=render_value(left),
-        right=render_value(right),
+        left=left_text,
+        right=right_text,
         passed=passed,
         difference=difference,
     )

@@ -12,6 +12,15 @@ from itertools import permutations
 from itertools import product as iproduct
 
 from tauclass.abelian import FpMonoid
+from tauclass.cat import (
+    DEFAULT_MAX_MORPHISMS,
+    DEFAULT_MAX_OBJECTS,
+    CapacityError,
+    CommaCat,
+    Cospan,
+    FinCategory,
+    FinFunctor,
+)
 
 
 def bernoulli_plus(n_max: int) -> list[Fraction]:
@@ -259,3 +268,132 @@ def canonical_class_by_permutations(comp_dims, leg):
         if best is None or candidate < best:
             best = candidate
     return TripleClass(sorted_dims, j, best if best is not None else ())
+
+
+def verify_category_exhaustive(c: FinCategory) -> list[str]:
+    """Oracle for ``cat.verify_category``: scan every ordered pair of
+    morphisms, and every morphism as the third factor of each composable
+    pair; one message per violation."""
+    bad = []
+    for x, e in enumerate(c.identity):
+        if not 0 <= e < c.n_morphisms:
+            bad.append(f"identity of object {c.object_names[x]} out of range")
+            continue
+        if c.source[e] != x or c.target[e] != x:
+            bad.append(f"identity of {c.object_names[x]} is not an endomorphism")
+    names = c.morphism_names
+    for f in range(c.n_morphisms):
+        for g in range(c.n_morphisms):
+            composable = c.target[f] == c.source[g]
+            defined = (f, g) in c.composition
+            if composable and not defined:
+                bad.append(f"missing composite of {names[f]} then {names[g]}")
+            if defined and not composable:
+                bad.append(f"composite of non-composable {names[f]}, {names[g]}")
+            if composable and defined:
+                h = c.composition[(f, g)]
+                if c.source[h] != c.source[f] or c.target[h] != c.target[g]:
+                    bad.append(f"composite {names[f]};{names[g]} has wrong endpoints")
+    for x in range(c.n_objects):
+        e = c.identity[x]
+        for f in range(c.n_morphisms):
+            if c.source[f] == x and c.composition.get((e, f)) != f:
+                bad.append(f"left identity fails at {names[f]}")
+            if c.target[f] == x and c.composition.get((f, e)) != f:
+                bad.append(f"right identity fails at {names[f]}")
+    for f in range(c.n_morphisms):
+        for g in range(c.n_morphisms):
+            if c.target[f] != c.source[g]:
+                continue
+            for h in range(c.n_morphisms):
+                if c.target[g] != c.source[h]:
+                    continue
+                left = c.composition.get((c.composition.get((f, g)), h))
+                right = c.composition.get((f, c.composition.get((g, h))))
+                if left != right:
+                    bad.append(
+                        "associativity fails on "
+                        f"({names[f]}, {names[g]}, {names[h]})"
+                    )
+    return bad
+
+
+def build_comma_exhaustive(cospan: Cospan,
+                           max_objects=DEFAULT_MAX_OBJECTS,
+                           max_morphisms=DEFAULT_MAX_MORPHISMS) -> CommaCat:
+    """Oracle for ``cat.build_comma``: compose every ordered pair of comma
+    morphisms, keeping the pairs whose middle triples agree."""
+    cs, base, ct = cospan.source_cat, cospan.base_cat, cospan.target_cat
+    s, t = cospan.s, cospan.t
+
+    triples = []
+    for v in range(cs.n_objects):
+        for x in range(ct.n_objects):
+            for h in base.hom(s.object_map[v], t.object_map[x]):
+                triples.append((v, x, h))
+    if len(triples) > max_objects:
+        raise CapacityError(
+            f"comma category has {len(triples)} objects, cap is {max_objects}"
+        )
+
+    def square_commutes(h1, h2, gs, gt):
+        # h2 . S(gs) == T(gt) . h1
+        return base.compose(s.morphism_map[gs], h2) == base.compose(
+            h1, t.morphism_map[gt]
+        )
+
+    pairs = []
+    pair_source = []
+    pair_target = []
+    for i, (v1, x1, h1) in enumerate(triples):
+        for j, (v2, x2, h2) in enumerate(triples):
+            for gs in cs.hom(v1, v2):
+                for gt in ct.hom(x1, x2):
+                    if square_commutes(h1, h2, gs, gt):
+                        pairs.append((gs, gt))
+                        pair_source.append(i)
+                        pair_target.append(j)
+    if len(pairs) > max_morphisms:
+        raise CapacityError(
+            f"comma category has {len(pairs)} morphisms, cap is {max_morphisms}"
+        )
+
+    index = {}
+    for k, (gs, gt) in enumerate(pairs):
+        index[(pair_source[k], pair_target[k], gs, gt)] = k
+
+    composition = {}
+    for k1 in range(len(pairs)):
+        for k2 in range(len(pairs)):
+            if pair_target[k1] != pair_source[k2]:
+                continue
+            gs = cs.compose(pairs[k1][0], pairs[k2][0])
+            gt = ct.compose(pairs[k1][1], pairs[k2][1])
+            composition[(k1, k2)] = index[(pair_source[k1], pair_target[k2], gs, gt)]
+
+    identity = []
+    for i, (v, x, h) in enumerate(triples):
+        identity.append(index[(i, i, cs.identity[v], ct.identity[x])])
+
+    object_names = [
+        f"({cs.object_names[v]},{ct.object_names[x]},{base.morphism_names[h]})"
+        for v, x, h in triples
+    ]
+    morphism_names = [
+        f"({cs.morphism_names[gs]},{ct.morphism_names[gt]})" for gs, gt in pairs
+    ]
+    cat = FinCategory(
+        object_names,
+        [(morphism_names[k], pair_source[k], pair_target[k]) for k in range(len(pairs))],
+        identity,
+        composition,
+        max_objects=max_objects,
+        max_morphisms=max_morphisms,
+    )
+    pi_s = FinFunctor(
+        cat, cs, [v for v, _, _ in triples], [gs for gs, _ in pairs], name="pi_s"
+    )
+    pi_t = FinFunctor(
+        cat, ct, [x for _, x, _ in triples], [gt for _, gt in pairs], name="pi_t"
+    )
+    return CommaCat(cospan, cat, tuple(triples), tuple(pairs), pi_s, pi_t)

@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from oracles import build_comma_exhaustive, verify_category_exhaustive
 from tauclass.cat import (
     CapacityError,
     Cospan,
@@ -104,6 +107,174 @@ class TestVerify:
     def test_capacity_cap(self):
         with pytest.raises(CapacityError):
             discrete_category([f"x{i}" for i in range(100)])
+
+
+@st.composite
+def posets(draw, max_size):
+    """Order relation on 0..n-1 refining the numbering: random pairs
+    i < j, then the transitive closure."""
+    n = draw(st.integers(1, max_size))
+    less = [[i == j for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            less[i][j] = draw(st.booleans())
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                if less[i][k] and less[k][j]:
+                    less[i][j] = True
+    return less
+
+
+@st.composite
+def poset_tables(draw, less, prefix):
+    """The poset as a category, morphisms in a random order: returns the
+    morphism list, the identities and the composition table."""
+    n = len(less)
+    arrows = draw(st.permutations(
+        [(i, j) for i in range(n) for j in range(n) if less[i][j]]
+    ))
+    index = {arrow: k for k, arrow in enumerate(arrows)}
+    morphisms = [
+        (f"id_{prefix}{i}" if i == j else f"{prefix}{i}_{j}", i, j) for i, j in arrows
+    ]
+    identity = [index[(i, i)] for i in range(n)]
+    composition = {
+        (index[(i, j)], index[(j, k)]): index[(i, k)]
+        for i, j in arrows
+        for j2, k in arrows
+        if j == j2
+    }
+    return morphisms, identity, composition
+
+
+def poset_category(draw, less, prefix):
+    morphisms, identity, composition = draw(poset_tables(less, prefix))
+    return FinCategory([f"{prefix}{i}" for i in range(len(less))], morphisms,
+                       identity, composition)
+
+
+CORRUPTIONS = ("delete", "stray", "rewrite", "identity", "endpoints")
+
+
+@st.composite
+def corrupted_poset_categories(draw):
+    """A poset category (1-6 objects) with 0-3 corruptions.  Identities and
+    endpoints are broken before construction, the composition table after
+    it, so the law check must read the table as it is when called."""
+    less = draw(posets(6))
+    n = len(less)
+    morphisms, identity, composition = draw(poset_tables(less, "p"))
+    morphisms = [list(m) for m in morphisms]
+    m = len(morphisms)
+    kinds = draw(st.lists(st.sampled_from(CORRUPTIONS), max_size=3))
+    for kind in kinds:
+        if kind == "identity":
+            non_endo = [k for k, (_, a, b) in enumerate(morphisms) if a != b]
+            x = draw(st.integers(0, n - 1))
+            identity[x] = draw(st.sampled_from([-1, m, m + 1] + non_endo))
+        elif kind == "endpoints":
+            k = draw(st.integers(0, m - 1))
+            morphisms[k][1] = draw(st.integers(0, n - 1))
+            morphisms[k][2] = draw(st.integers(0, n - 1))
+    c = FinCategory([f"p{i}" for i in range(n)], morphisms, identity, composition)
+    for kind in kinds:
+        keys = list(c.composition)
+        if kind == "delete" and keys:
+            del c.composition[draw(st.sampled_from(keys))]
+        elif kind == "rewrite" and keys:
+            c.composition[draw(st.sampled_from(keys))] = draw(st.integers(0, m - 1))
+        elif kind == "stray":
+            pairs = [
+                (f, g)
+                for f in range(m)
+                for g in range(m)
+                if c.target[f] != c.source[g]
+            ]
+            if pairs:
+                c.composition[draw(st.sampled_from(pairs))] = draw(st.integers(0, m - 1))
+    return c
+
+
+@st.composite
+def monotone_maps(draw, dom, cod):
+    """Order-preserving object map between posets numbered by a linear
+    extension; rejected when some object has no admissible image."""
+    image = []
+    for j in range(len(dom)):
+        bounds = [image[i] for i in range(j) if dom[i][j]]
+        allowed = [b for b in range(len(cod)) if all(cod[a][b] for a in bounds)]
+        assume(allowed)
+        image.append(draw(st.sampled_from(allowed)))
+    return image
+
+
+@st.composite
+def poset_cospans(draw):
+    """Cospan of poset categories with 1-5 objects on each side."""
+    less = {side: draw(posets(5)) for side in ("source", "base", "target")}
+    cats = {
+        side: poset_category(draw, less[side], side[0])
+        for side in ("source", "base", "target")
+    }
+    base = cats["base"]
+    functors = []
+    for side in ("source", "target"):
+        dom = cats[side]
+        image = draw(monotone_maps(less[side], less["base"]))
+        morphism_map = [
+            base.hom(image[dom.source[f]], image[dom.target[f]])[0]
+            for f in range(dom.n_morphisms)
+        ]
+        functors.append(FinFunctor(dom, base, image, morphism_map, name=side))
+    return Cospan(cats["source"], base, cats["target"], *functors)
+
+
+class TestIndexedLawCheck:
+    """The indexed law check and comma construction against the
+    exhaustive scans they replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(corrupted_poset_categories())
+    def test_same_messages_as_exhaustive_scan(self, c):
+        assert verify_category(c) == verify_category_exhaustive(c)
+        for a in range(c.n_objects):
+            assert c.outgoing[a] == tuple(
+                f for f in range(c.n_morphisms) if c.source[f] == a
+            )
+            for b in range(c.n_objects):
+                assert c.hom(a, b) == tuple(
+                    f
+                    for f in range(c.n_morphisms)
+                    if c.source[f] == a and c.target[f] == b
+                )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        poset_cospans(),
+        st.one_of(st.none(), st.tuples(st.integers(1, 25), st.integers(1, 400))),
+    )
+    def test_comma_equals_exhaustive_build(self, cospan, caps):
+        kwargs = {}
+        if caps is not None:
+            kwargs = {"max_objects": caps[0], "max_morphisms": caps[1]}
+        try:
+            expected = build_comma_exhaustive(cospan, **kwargs)
+        except CapacityError as err:
+            with pytest.raises(CapacityError) as raised:
+                build_comma(cospan, **kwargs)
+            assert str(raised.value) == str(err)
+            return
+        comma = build_comma(cospan, **kwargs)
+        assert comma.cat == expected.cat
+        assert list(comma.cat.composition.items()) == list(
+            expected.cat.composition.items()
+        )
+        assert comma.triples == expected.triples
+        assert comma.pairs == expected.pairs
+        assert comma.pi_s.morphism_map == expected.pi_s.morphism_map
+        assert comma.pi_t.object_map == expected.pi_t.object_map
+        assert verify_category(comma.cat) == []
 
 
 def discrete_cospan(n_source, n_target, base):

@@ -200,6 +200,34 @@ class TestCommaCommand:
         code, _ = run_cli(capsys, "comma", "/nonexistent/file.txt")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("category source\nobjects a a\nend\n",
+             "line 2: category 'source': duplicate object 'a'"),
+            ("category source\nobjects a b\n\nobjects c b\nend\n",
+             "line 4: category 'source': duplicate object 'b'"),
+            (COSPAN_DISCRETE + "category base\nobjects c\nend\n",
+             "line 22: duplicate category 'base'"),
+            (COSPAN_DISCRETE + "functor S : source -> base\nobj v0 = b\nend\n",
+             "line 22: duplicate functor 'S'"),
+            (COSPAN_DISCRETE.replace("obj v1 = b\n", "obj v1 = b\nobj q = b\n"),
+             "line 16: functor 'S': unknown domain object 'q'"),
+            (COSPAN_DISCRETE.replace("obj v1 = b\n", "obj v1 = b\narrow s = s\n"),
+             "line 16: functor 'S': unknown domain arrow 's'"),
+        ],
+        ids=["repeated-object", "object-on-two-lines", "second-category",
+             "second-functor", "unknown-domain-object", "unknown-domain-arrow"],
+    )
+    def test_malformed_cospan_is_usage_error(self, capsys, tmp_path, text, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        code = main(["comma", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
 
 MONOID_2A2B = "gens: 2\nrel: 2 0 = 0 2\n"
 
@@ -242,6 +270,94 @@ class TestDeterminism:
         assert first == second
 
 
+def chain_cospan_text(ns, m, nt):
+    """Chains 0 < ... < n-1 as source and target over a chain base, each
+    mapped by i |-> i * m // n; every composite is listed."""
+
+    def category(name, p, n):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        lines = [f"category {name}", "objects " + " ".join(f"{p}{i}" for i in range(n))]
+        lines += [f"arrow {p}{i}_{j} : {p}{i} -> {p}{j}" for i, j in pairs]
+        lines += [
+            f"compose {p}{j}_{k} . {p}{i}_{j} = {p}{i}_{k}"
+            for i, j in pairs
+            for k in range(j + 1, n)
+        ]
+        return lines + ["end"]
+
+    def functor(name, dom, p, n):
+        image = [i * m // n for i in range(n)]
+        lines = [f"functor {name} : {dom} -> base"]
+        lines += [f"obj {p}{i} = b{image[i]}" for i in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                a, b = image[i], image[j]
+                image_arrow = f"id_b{a}" if a == b else f"b{a}_{b}"
+                lines.append(f"arrow {p}{i}_{j} = {image_arrow}")
+        return lines + ["end"]
+
+    lines = (
+        category("source", "s", ns)
+        + category("base", "b", m)
+        + category("target", "t", nt)
+        + functor("S", "source", "s", ns)
+        + functor("T", "target", "t", nt)
+    )
+    return "\n".join(lines) + "\n"
+
+
+# every category and one functor break a law; pins the order of the messages
+COSPAN_BROKEN = """
+category source
+objects e
+arrow s : e -> e
+arrow t : e -> e
+compose s . s = t
+compose t . s = t
+compose s . t = t
+compose t . t = s
+end
+category base
+objects a b c d
+arrow f : a -> b
+arrow g : b -> c
+arrow h : a -> c
+arrow k : a -> c
+arrow q : c -> d
+compose g . f = f
+compose f . f = h
+compose h . id_a = k
+compose id_c . k = h
+compose q . k = q
+end
+category target
+objects x y
+arrow u : x -> y
+arrow w : y -> y
+compose w . u = w
+compose w . w = w
+end
+functor S : source -> base
+obj e = a
+arrow s = id_a
+arrow t = h
+end
+functor T : target -> base
+obj x = a
+obj y = c
+arrow u = h
+arrow w = id_c
+end
+"""
+
+MONOID_GOLDEN = """gens: 4
+rel: 3 1 0 2 = 0 2 1 1
+rel: 0 4 2 0 = 1 1 1 3
+rel: 2 0 5 1 = 2 3 0 0
+rel: 1 1 1 1 = 0 0 0 6
+"""
+
+
 class TestGoldenOutput:
     """stdout digests of fixed commands: rendered classes and check
     reports must stay byte-identical when the arithmetic kernel changes."""
@@ -268,4 +384,24 @@ class TestGoldenOutput:
     def test_stdout_digest(self, capsys, argv, digest):
         code, out = run_cli(capsys, *argv, "--format", "json")
         assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "command,text,exit_code,digest",
+        [
+            ("comma", chain_cospan_text(7, 4, 7), 0,
+             "6c8f02fca64a7accaacbddebecc07bb5109e00d7f5c958551232a0a255e0db6b"),
+            ("comma", COSPAN_BROKEN, 1,
+             "950187a9b49a4cc35814ffb141cd851c245634ef3faf7df34a04f73cf9c19973"),
+            ("complete", MONOID_GOLDEN, 0,
+             "954b65bb02128ca3fafddd4bdcd23c72141cbf19f19b82e2103a63ce7bbc87f9"),
+        ],
+        ids=["comma-chain-7-4-7", "comma-broken", "complete-4x4"],
+    )
+    def test_file_command_digest(self, capsys, tmp_path, command, text, exit_code,
+                                 digest):
+        path = tmp_path / "input.txt"
+        path.write_text(text)
+        code, out = run_cli(capsys, command, str(path), "--format", "json")
+        assert code == exit_code
         assert hashlib.sha256(out.encode()).hexdigest() == digest
