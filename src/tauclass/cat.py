@@ -201,12 +201,6 @@ class FinFunctor:
         if len(self.morphism_map) != dom.n_morphisms:
             raise ValueError("morphism map arity mismatch")
 
-    def on_object(self, x: int) -> int:
-        return self.object_map[x]
-
-    def on_morphism(self, f: int) -> int:
-        return self.morphism_map[f]
-
     def __repr__(self):
         return f"FinFunctor({self.name or 'unnamed'})"
 
@@ -371,9 +365,6 @@ class Fiber:
 
     def object_index(self, original_id: int) -> int:
         return self.object_ids.index(original_id)
-
-    def morphism_index(self, original_id: int) -> int:
-        return self.morphism_ids.index(original_id)
 
 
 def fiber_category(fun: FinFunctor, b: int) -> Fiber:
@@ -665,10 +656,13 @@ def _assemble_category(name, objects, arrows, compose_rows):
 
 
 def _parse_functor_block(lines, start, name, dom, cod):
+    """Parse 'obj a = b' and 'arrow f = g' rows until 'end'.  Identities of
+    the domain map to identities and need no row; every other object and
+    arrow needs exactly one."""
     dom_obj = {x: i for i, x in enumerate(dom.object_names)}
     dom_mor = {x: i for i, x in enumerate(dom.morphism_names)}
-    obj_map = {}
-    arr_map = {}
+    header = lines[start - 1][0]
+    rows = {"obj": {}, "arrow": {}}  # kind -> domain name -> (lineno, image)
     i = start
     while i < len(lines):
         lineno, line = lines[i]
@@ -682,42 +676,40 @@ def _parse_functor_block(lines, start, name, dom, cod):
             raise CospanParseError(lineno, "expected 'obj a = b' or 'arrow f = g'") from None
         left, right = left.strip(), right.strip()
         if head == "obj":
-            if left not in dom_obj:
-                raise CospanParseError(
-                    lineno, f"functor {name!r}: unknown domain object {left!r}"
-                )
-            obj_map[left] = right
+            known, kind = dom_obj, "object"
         elif head == "arrow":
-            if left not in dom_mor:
-                raise CospanParseError(
-                    lineno, f"functor {name!r}: unknown domain arrow {left!r}"
-                )
-            arr_map[left] = right
+            known, kind = dom_mor, "arrow"
         else:
             raise CospanParseError(lineno, f"unrecognized line {line!r}")
+        if left not in known:
+            raise CospanParseError(
+                lineno, f"functor {name!r}: unknown domain {kind} {left!r}"
+            )
+        if left in rows[head]:
+            raise CospanParseError(
+                lineno, f"functor {name!r}: duplicate row for {kind} {left!r}"
+            )
+        rows[head][left] = (lineno, right)
     else:
-        raise CospanParseError(lines[start - 1][0], f"functor {name!r} missing 'end'")
+        raise CospanParseError(header, f"functor {name!r} missing 'end'")
+
+    def image(kind, x, images, index):
+        if x not in images:
+            raise CospanParseError(header, f"functor {name!r}: no image for {kind} {x!r}")
+        lineno, y = images[x]
+        if y not in index:
+            raise CospanParseError(lineno, f"functor {name!r}: unknown image {kind} {y!r}")
+        return index[y]
 
     cod_obj = {x: i for i, x in enumerate(cod.object_names)}
     cod_mor = {x: i for i, x in enumerate(cod.morphism_names)}
-    object_map = [0] * dom.n_objects
-    for x, i_x in dom_obj.items():
-        if x not in obj_map:
-            raise ValueError(f"functor {name!r}: no image for object {x!r}")
-        if obj_map[x] not in cod_obj:
-            raise ValueError(f"functor {name!r}: unknown image object {obj_map[x]!r}")
-        object_map[i_x] = cod_obj[obj_map[x]]
-    morphism_map = [0] * dom.n_morphisms
-    for f, i_f in dom_mor.items():
-        if f.startswith("id_"):
-            image_obj = obj_map.get(f[3:])
-            morphism_map[i_f] = cod.identity[cod_obj[image_obj]]
-            continue
-        if f not in arr_map:
-            raise ValueError(f"functor {name!r}: no image for arrow {f!r}")
-        if arr_map[f] not in cod_mor:
-            raise ValueError(f"functor {name!r}: unknown image arrow {arr_map[f]!r}")
-        morphism_map[i_f] = cod_mor[arr_map[f]]
+    object_map = [image("object", x, rows["obj"], cod_obj) for x in dom.object_names]
+    identity_of = {f: x for x, f in enumerate(dom.identity)}
+    morphism_map = [
+        cod.identity[object_map[identity_of[f]]] if f in identity_of
+        else image("arrow", label, rows["arrow"], cod_mor)
+        for f, label in enumerate(dom.morphism_names)
+    ]
     return FinFunctor(dom, cod, object_map, morphism_map, name=name), i
 
 

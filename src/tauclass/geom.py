@@ -36,7 +36,6 @@ __all__ = [
     "identity_morphism",
     "to_point",
     "inclusions",
-    "compose",
     "morphism_product",
     "fiber_square",
     "euler_char",
@@ -44,7 +43,6 @@ __all__ = [
     "relative_tangent",
     "pushforward",
     "pullback",
-    "cap_fundamental",
     "homological_degree",
     "cross",
     "enumerate_morphisms",
@@ -70,9 +68,6 @@ class ToySpace:
 
     def is_empty(self) -> bool:
         return not self.components
-
-    def component_dim(self, i: int) -> int:
-        return sum(self.components[i])
 
     @property
     def total_dim(self) -> int:
@@ -216,11 +211,6 @@ def inclusions(x: ToySpace, y: ToySpace) -> tuple[ToyMorphism, ToyMorphism]:
         tuple((off + i, tuple(range(len(c)))) for i, c in enumerate(y.components)),
     )
     return left, right
-
-
-def compose(first: ToyMorphism, second: ToyMorphism) -> ToyMorphism:
-    """second after first (apply ``first``, then ``second``)."""
-    return first.then(second)
 
 
 def morphism_product(f: ToyMorphism, g: ToyMorphism) -> ToyMorphism:
@@ -376,16 +366,6 @@ class HClass:
 def homological_degree(comp: tuple[int, ...], exponent: tuple[int, ...]) -> int:
     """Degree of a monomial read as a homology class: 2(dim - |e|)."""
     return 2 * (sum(comp) - sum(exponent))
-
-
-def cap_fundamental(c: HClass) -> HClass:
-    """Cap with the fundamental class.
-
-    All toy spaces are smooth and compact, so this is Poincare duality:
-    the coefficients are unchanged and only the grading convention moves
-    (see ``homological_degree``).
-    """
-    return c
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,6 @@ __all__ = [
     "ty_spec",
     "multiplicative_class",
     "virtual_class",
-    "specialize_y",
     "spec_to_text",
     "spec_from_text",
 ]
@@ -222,179 +221,6 @@ def format_scalar(value) -> str:
     return _format_fraction(Fraction(value))
 
 
-class Series1:
-    """Univariate power series truncated at an explicit cap degree.
-
-    The cap is part of the value.  Binary operations on series with
-    different caps narrow to the smaller cap and mark the result as
-    ``narrowed`` (metadata, excluded from equality).
-    """
-
-    __slots__ = ("ring", "cap", "coeffs", "narrowed")
-
-    def __init__(self, ring, coeffs, cap=None, narrowed=False):
-        coeffs = list(coeffs)
-        if cap is None:
-            cap = len(coeffs) - 1
-        if cap < 0:
-            raise ValueError("truncation degree must be >= 0")
-        coeffs = coeffs[: cap + 1] + [0] * (cap + 1 - len(coeffs))
-        self.ring = ring
-        self.cap = cap
-        self.coeffs = tuple(_coerce(ring, c) for c in coeffs)
-        self.narrowed = narrowed
-
-    @classmethod
-    def zero(cls, ring, cap):
-        return cls(ring, [], cap=cap)
-
-    @classmethod
-    def one(cls, ring, cap):
-        return cls(ring, [1], cap=cap)
-
-    @classmethod
-    def t(cls, ring, cap):
-        return cls(ring, [0, 1], cap=cap)
-
-    def coefficient(self, d: int):
-        if d < 0 or d > self.cap:
-            raise ValueError(f"degree {d} outside truncation 0..{self.cap}")
-        return self.coeffs[d]
-
-    def __getitem__(self, d):
-        return self.coefficient(d)
-
-    def _align(self, other):
-        if not isinstance(other, Series1):
-            raise TypeError("expected a Series1")
-        _same_ring(self.ring, other.ring)
-        cap = min(self.cap, other.cap)
-        narrowed = self.narrowed or other.narrowed or self.cap != other.cap
-        return cap, narrowed
-
-    def __add__(self, other):
-        cap, narrowed = self._align(other)
-        return Series1(
-            self.ring,
-            [self.coeffs[i] + other.coeffs[i] for i in range(cap + 1)],
-            cap=cap,
-            narrowed=narrowed,
-        )
-
-    def __sub__(self, other):
-        cap, narrowed = self._align(other)
-        return Series1(
-            self.ring,
-            [self.coeffs[i] - other.coeffs[i] for i in range(cap + 1)],
-            cap=cap,
-            narrowed=narrowed,
-        )
-
-    def __neg__(self):
-        return Series1(self.ring, [-c for c in self.coeffs], cap=self.cap,
-                       narrowed=self.narrowed)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, YPoly)):
-            factor = _coerce(self.ring, other)
-            return Series1(self.ring, [c * factor for c in self.coeffs],
-                           cap=self.cap, narrowed=self.narrowed)
-        cap, narrowed = self._align(other)
-        out = [_ring_zero(self.ring) for _ in range(cap + 1)]
-        for i in range(cap + 1):
-            if not self.coeffs[i]:
-                continue
-            for j in range(cap + 1 - i):
-                out[i + j] = out[i + j] + self.coeffs[i] * other.coeffs[j]
-        return Series1(self.ring, out, cap=cap, narrowed=narrowed)
-
-    __rmul__ = __mul__
-
-    def truncate(self, cap: int) -> "Series1":
-        """Explicitly truncate; intentional, so the result is not flagged."""
-        if cap > self.cap:
-            raise ValueError(f"cannot extend truncation {self.cap} to {cap}")
-        return Series1(self.ring, self.coeffs[: cap + 1], cap=cap)
-
-    def inverse(self) -> "Series1":
-        c0 = self.coeffs[0]
-        unit = c0.constant_value() if isinstance(c0, YPoly) else c0
-        if unit == 0:
-            raise ValueError("series has no inverse: constant term not a unit")
-        inv0 = _coerce(self.ring, Fraction(1) / Fraction(unit))
-        out = [inv0] + [_ring_zero(self.ring)] * self.cap
-        for k in range(1, self.cap + 1):
-            acc = _ring_zero(self.ring)
-            for j in range(1, k + 1):
-                acc = acc + self.coeffs[j] * out[k - j]
-            out[k] = -(acc * inv0)
-        return Series1(self.ring, out, cap=self.cap, narrowed=self.narrowed)
-
-    def exp(self) -> "Series1":
-        if self.coeffs[0]:
-            raise ValueError("exp needs constant term 0")
-        out = [_ring_one(self.ring)] + [_ring_zero(self.ring)] * self.cap
-        # f' = a' f  =>  k f_k = sum_{j>=1} j a_j f_{k-j}
-        for k in range(1, self.cap + 1):
-            acc = _ring_zero(self.ring)
-            for j in range(1, k + 1):
-                acc = acc + (j * self.coeffs[j]) * out[k - j]
-            out[k] = acc / k if isinstance(acc, YPoly) else acc / Fraction(k)
-        return Series1(self.ring, out, cap=self.cap, narrowed=self.narrowed)
-
-    def log(self) -> "Series1":
-        if self.coeffs[0] != _ring_one(self.ring):
-            raise ValueError("log needs constant term 1")
-        out = [_ring_zero(self.ring)] * (self.cap + 1)
-        # k a_k = k f_k - sum_{j=1}^{k-1} j a_j f_{k-j}
-        for k in range(1, self.cap + 1):
-            acc = k * self.coeffs[k]
-            for j in range(1, k):
-                acc = acc - (j * out[j]) * self.coeffs[k - j]
-            out[k] = acc / k if isinstance(acc, YPoly) else acc / Fraction(k)
-        return Series1(self.ring, out, cap=self.cap, narrowed=self.narrowed)
-
-    def compose(self, inner: "Series1") -> "Series1":
-        """self(inner(t)); inner must have constant term 0."""
-        _same_ring(self.ring, inner.ring)
-        if inner.coeffs[0]:
-            raise ValueError("composition needs inner constant term 0")
-        cap = min(self.cap, inner.cap)
-        narrowed = self.narrowed or inner.narrowed or self.cap != inner.cap
-        acc = Series1(self.ring, [self.coeffs[0]], cap=cap)
-        power = Series1.one(self.ring, cap)
-        inner_cut = Series1(self.ring, inner.coeffs[: cap + 1], cap=cap)
-        for k in range(1, cap + 1):
-            power = power * inner_cut
-            acc = acc + power * self.coeffs[k]
-        return Series1(self.ring, acc.coeffs, cap=cap, narrowed=narrowed)
-
-    def specialize_y(self, value) -> "Series1":
-        if self.ring != RATIONAL_Y:
-            raise ValueError("specialize_y needs Q[y] coefficients")
-        return Series1(
-            RATIONAL,
-            [c.evaluate(value) for c in self.coeffs],
-            cap=self.cap,
-            narrowed=self.narrowed,
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, Series1):
-            return NotImplemented
-        return (
-            self.ring == other.ring
-            and self.cap == other.cap
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.ring, self.cap, self.coeffs))
-
-    def __repr__(self):
-        return f"Series1({self.ring!r}, {[format_scalar(c) for c in self.coeffs]})"
-
-
 @dataclass(frozen=True)
 class ClassSpec:
     """A normalized series f(t), f(0) = 1, defining a multiplicative class."""
@@ -403,7 +229,7 @@ class ClassSpec:
     series: Series1
 
     def __post_init__(self):
-        if self.series.coeffs[0] != _ring_one(self.series.ring):
+        if self.series[0] != _ring_one(self.series.ring):
             raise ValueError("class series must be normalized: f(0) = 1")
 
     @property
@@ -503,7 +329,8 @@ class GradedPoly:
         exponent tuples within ``dims`` to nonzero coefficients of the
         ring's type (``Fraction`` for Q, ``YPoly`` for Q[y]); nothing is
         checked or copied.  Values are never mutated after construction,
-        so ``terms`` may be shared.
+        so ``terms`` may be shared.  Methods call it on ``self``, so their
+        results keep the class of ``self`` (a ``Series1`` stays one).
         """
         out = object.__new__(cls)
         out.ring = ring
@@ -553,7 +380,7 @@ class GradedPoly:
         return sum(self.dims)
 
     def graded_part(self, d: int) -> "GradedPoly":
-        return GradedPoly._trusted(
+        return self._trusted(
             self.ring,
             self.dims,
             {e: c for e, c in self.terms.items() if sum(e) == d},
@@ -579,10 +406,10 @@ class GradedPoly:
                 data[e] = s
             elif e in data:
                 del data[e]
-        return GradedPoly._trusted(self.ring, self.dims, data)
+        return self._trusted(self.ring, self.dims, data)
 
     def __neg__(self):
-        return GradedPoly._trusted(
+        return self._trusted(
             self.ring, self.dims, {e: -c for e, c in self.terms.items()}
         )
 
@@ -605,7 +432,7 @@ class GradedPoly:
                     data[e] = s
                 elif e in data:
                     del data[e]
-        return GradedPoly._trusted(self.ring, self.dims, data)
+        return self._trusted(self.ring, self.dims, data)
 
     __rmul__ = __mul__
 
@@ -615,15 +442,15 @@ class GradedPoly:
             return self
         factor = _coerce(self.ring, value)
         if not factor:
-            return GradedPoly._trusted(self.ring, self.dims, {})
-        return GradedPoly._trusted(
+            return self._trusted(self.ring, self.dims, {})
+        return self._trusted(
             self.ring, self.dims, {e: c * factor for e, c in self.terms.items()}
         )
 
     def __pow__(self, n: int) -> "GradedPoly":
         if n < 0:
             raise ValueError("negative power in a truncated ring")
-        acc = GradedPoly.one(self.ring, self.dims)
+        acc = self.one(self.ring, self.dims)
         for _ in range(n):
             acc = acc * self
         return acc
@@ -633,16 +460,22 @@ class GradedPoly:
         unit = c0.constant_value() if isinstance(c0, YPoly) else Fraction(c0)
         if unit == 0:
             raise ValueError("constant term is not a unit")
-        # (c0 + x)^{-1} = c0^{-1} sum (-x/c0)^m, x nilpotent
-        nil = self - GradedPoly.constant(self.ring, self.dims, c0)
-        acc = GradedPoly.one(self.ring, self.dims)
-        term = GradedPoly.one(self.ring, self.dims)
-        for _ in range(self.total_degree_cap()):
-            term = term * nil.scale(Fraction(-1) / unit)
-            if term.is_zero():
-                break
-            acc = acc + term
-        return acc.scale(Fraction(1) / unit)
+        # the degree-k part of self * I = 1, with X_j the degree-j part of
+        # self, gives I_0 = 1/c0 and I_k = -(1/c0) sum_{j=1..k} X_j I_{k-j}
+        x = [self.graded_part(d) for d in range(self.total_degree_cap() + 1)]
+        inv0 = Fraction(1) / unit
+        parts = [self.constant(self.ring, self.dims, inv0)]
+        result = parts[0]
+        for k in range(1, len(x)):
+            acc = self._trusted(self.ring, self.dims, {})
+            for j in range(1, k + 1):
+                if x[j].is_zero() or parts[k - j].is_zero():
+                    continue
+                acc = acc + x[j] * parts[k - j]
+            part = acc.scale(-inv0)
+            parts.append(part)
+            result = result + part
+        return result
 
     def with_ring(self, ring: str) -> "GradedPoly":
         """Lift Q coefficients into Q[y] (or re-tag an equal ring)."""
@@ -655,11 +488,12 @@ class GradedPoly:
     def specialize_y(self, value) -> "GradedPoly":
         if self.ring != RATIONAL_Y:
             raise ValueError("specialize_y needs Q[y] coefficients")
-        return GradedPoly(
-            RATIONAL,
-            self.dims,
-            {e: c.evaluate(value) for e, c in self.terms.items()},
-        )
+        data = {}
+        for e, c in self.terms.items():
+            v = c.evaluate(value)
+            if v:
+                data[e] = v
+        return self._trusted(RATIONAL, self.dims, data)
 
     def __eq__(self, other):
         if not isinstance(other, GradedPoly):
@@ -707,6 +541,66 @@ class GradedPoly:
         for p in parts[1:]:
             text += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
         return text
+
+
+class Series1(GradedPoly):
+    """Univariate power series truncated at an explicit cap degree: the
+    one-variable ``GradedPoly`` with ``dims == (cap,)``.
+
+    The cap is part of the value.  Arithmetic, equality, hashing and
+    ``specialize_y`` are the kernel's, so binary operations need equal
+    caps; ``truncate`` narrows a series explicitly.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, ring, coeffs, cap=None):
+        coeffs = list(coeffs)
+        if cap is None:
+            cap = len(coeffs) - 1
+        if cap < 0:
+            raise ValueError("truncation degree must be >= 0")
+        super().__init__(ring, (cap,), [((k,), c) for k, c in enumerate(coeffs[: cap + 1])])
+
+    @property
+    def cap(self) -> int:
+        return self.dims[0]
+
+    @property
+    def coeffs(self) -> tuple:
+        """Coefficients of degrees 0..cap, zeros included."""
+        zero = _ring_zero(self.ring)
+        return tuple(self.terms.get((k,), zero) for k in range(self.cap + 1))
+
+    def __getitem__(self, d: int):
+        if d < 0 or d > self.cap:
+            raise ValueError(f"degree {d} outside truncation 0..{self.cap}")
+        return self.coefficient((d,))
+
+    def truncate(self, cap: int) -> "Series1":
+        if cap > self.cap:
+            raise ValueError(f"cannot extend truncation {self.cap} to {cap}")
+        if cap < 0:
+            raise ValueError("truncation degree must be >= 0")
+        return self._trusted(
+            self.ring, (cap,), {e: c for e, c in self.terms.items() if e[0] <= cap}
+        )
+
+    def log(self) -> "Series1":
+        if self[0] != _ring_one(self.ring):
+            raise ValueError("log needs constant term 1")
+        f = self.coeffs
+        out = [_ring_zero(self.ring)] * (self.cap + 1)
+        # k a_k = k f_k - sum_{j=1}^{k-1} j a_j f_{k-j}
+        for k in range(1, self.cap + 1):
+            acc = k * f[k]
+            for j in range(1, k):
+                acc = acc - (j * out[j]) * f[k - j]
+            out[k] = acc / k if isinstance(acc, YPoly) else acc / Fraction(k)
+        return self._trusted(self.ring, self.dims, {(k,): a for k, a in enumerate(out) if a})
+
+    def __repr__(self):
+        return f"Series1({self.ring!r}, {[format_scalar(c) for c in self.coeffs]})"
 
 
 @dataclass(frozen=True)
@@ -788,11 +682,6 @@ def virtual_class(spec: ClassSpec, vb: VirtualBundle) -> GradedPoly:
     plus = multiplicative_class(spec, vb.plus_total_chern, vb.plus_rank)
     minus = multiplicative_class(spec, vb.minus_total_chern, vb.minus_rank)
     return plus * minus.inverse()
-
-
-def specialize_y(value, at):
-    """Substitute an exact rational for y in a Series1 or GradedPoly."""
-    return value.specialize_y(at)
 
 
 def spec_to_text(spec: ClassSpec) -> str:

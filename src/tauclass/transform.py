@@ -25,7 +25,6 @@ from .geom import (
     HClass,
     ToyMorphism,
     ToySpace,
-    cap_fundamental,
     cross,
     enumerate_projections,
     euler_char,
@@ -152,16 +151,18 @@ def eval_invariant(inv: Invariant, space: ToySpace):
     """Value of the invariant on a space.
 
     Characteristic classes are evaluated on the tangent bundle and capped
-    with the fundamental class (a re-grading here)."""
+    with the fundamental class.  Every toy space is smooth and compact, so
+    capping is Poincare duality: the coefficients stay as they are and only
+    the grading convention moves (see ``geom.homological_degree``)."""
     if inv.kind == KIND_FUNDAMENTAL:
-        return cap_fundamental(HClass.unit(space, RATIONAL))
+        return HClass.unit(space, RATIONAL)
     if inv.kind == KIND_CLASS:
         tangent = _tangent(space)
         polys = tuple(
             _cached_class(inv.spec, poly, rank)
             for poly, rank in zip(tangent.polys, tangent.ranks)
         )
-        return cap_fundamental(HClass(space, inv.spec.ring, polys))
+        return HClass(space, inv.spec.ring, polys)
     if inv.kind == KIND_INDICATOR:
         return ConstrFn.ones(space)
     if inv.kind == KIND_EULER:
@@ -424,7 +425,7 @@ def virtual_in_ambient(
     vb = VirtualBundle(tangent.polys[0], tangent.ranks[0], normal_total, len(multidegrees))
     cls = virtual_class(spec, vb)
     poly = cls * sections.with_ring(spec.ring)
-    return cap_fundamental(HClass(ambient, spec.ring, (poly,)))
+    return HClass(ambient, spec.ring, (poly,))
 
 
 # --- bounded corpus and suites ----------------------------------------------

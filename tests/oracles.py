@@ -247,6 +247,45 @@ def exp_by_powers_class(spec, total_chern, rank):
     return result
 
 
+def series_exp(s):
+    """exp of a truncated series with constant term 0: the inverse of
+    ``Series1.log``, for the log round-trip tests."""
+    from tauclass.series import Series1, YPoly, _ring_one, _ring_zero
+
+    if s.coeffs[0]:
+        raise ValueError("exp needs constant term 0")
+    out = [_ring_one(s.ring)] + [_ring_zero(s.ring)] * s.cap
+    # f' = a' f  =>  k f_k = sum_{j>=1} j a_j f_{k-j}
+    for k in range(1, s.cap + 1):
+        acc = _ring_zero(s.ring)
+        for j in range(1, k + 1):
+            acc = acc + (j * s.coeffs[j]) * out[k - j]
+        out[k] = acc / k if isinstance(acc, YPoly) else acc / Fraction(k)
+    return Series1(s.ring, out, cap=s.cap)
+
+
+def inverse_by_geometric_series(poly):
+    """Oracle for ``GradedPoly.inverse``: (c0 + x)^{-1} = c0^{-1} sum_m
+    (-x/c0)^m for the nilpotent part x, by full products instead of the
+    graded recurrence."""
+    from tauclass.series import GradedPoly, YPoly
+
+    c0 = poly.constant_term()
+    unit = c0.constant_value() if isinstance(c0, YPoly) else Fraction(c0)
+    if unit == 0:
+        raise ValueError("constant term is not a unit")
+    # (c0 + x)^{-1} = c0^{-1} sum (-x/c0)^m, x nilpotent
+    nil = poly - GradedPoly.constant(poly.ring, poly.dims, c0)
+    acc = GradedPoly.one(poly.ring, poly.dims)
+    term = GradedPoly.one(poly.ring, poly.dims)
+    for _ in range(poly.total_degree_cap()):
+        term = term * nil.scale(Fraction(-1) / unit)
+        if term.is_zero():
+            break
+        acc = acc + term
+    return acc.scale(Fraction(1) / unit)
+
+
 def canonical_class_by_permutations(comp_dims, leg):
     """Oracle for canonical triple classes: try every relabeling of the
     source factors that sorts the dimensions and keep the least

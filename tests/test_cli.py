@@ -180,6 +180,15 @@ end
 """
 
 
+def with_source_arrow(arrow, row=None):
+    """COSPAN_DISCRETE with one more source arrow and, if given, its
+    functor row in S."""
+    text = COSPAN_DISCRETE.replace("objects v0 v1\n", f"objects v0 v1\narrow {arrow}\n")
+    if row:
+        text = text.replace("obj v1 = b\n", f"obj v1 = b\n{row}\n")
+    return text
+
+
 class TestCommaCommand:
     def test_discrete_hom_sum(self, capsys, tmp_path):
         path = tmp_path / "cospan.txt"
@@ -200,6 +209,14 @@ class TestCommaCommand:
         code, _ = run_cli(capsys, "comma", "/nonexistent/file.txt")
         assert code == 2
 
+    def test_identity_like_arrow_name_is_an_arrow(self, capsys, tmp_path):
+        # 'id_q' names no identity (there is no object q): an ordinary arrow
+        path = tmp_path / "cospan.txt"
+        path.write_text(with_source_arrow("id_q : v0 -> v1", "arrow id_q = s"))
+        code, payload, _ = run_json(capsys, "comma", str(path))
+        assert code == 0
+        assert payload["passed"] is True
+
     @pytest.mark.parametrize(
         "text,message",
         [
@@ -215,9 +232,28 @@ class TestCommaCommand:
              "line 16: functor 'S': unknown domain object 'q'"),
             (COSPAN_DISCRETE.replace("obj v1 = b\n", "obj v1 = b\narrow s = s\n"),
              "line 16: functor 'S': unknown domain arrow 's'"),
+            (COSPAN_DISCRETE.replace("obj v1 = b\n", "obj v1 = b\nobj v1 = q\n"),
+             "line 16: functor 'S': duplicate row for object 'v1'"),
+            (COSPAN_DISCRETE.replace("obj v1 = b\n", "obj v1 = q\nobj v1 = b\n"),
+             "line 16: functor 'S': duplicate row for object 'v1'"),
+            (COSPAN_DISCRETE.replace("obj v1 = b\n", "obj v1 = b\nobj v1 = b\n"),
+             "line 16: functor 'S': duplicate row for object 'v1'"),
+            (COSPAN_DISCRETE.replace("obj v1 = b\n", "obj v1 = q\n"),
+             "line 15: functor 'S': unknown image object 'q'"),
+            (with_source_arrow("u : v0 -> v1", "arrow u = t"),
+             "line 17: functor 'S': unknown image arrow 't'"),
+            (COSPAN_DISCRETE.replace("obj v1 = b\n", ""),
+             "line 13: functor 'S': no image for object 'v1'"),
+            (with_source_arrow("u : v0 -> v1"),
+             "line 14: functor 'S': no image for arrow 'u'"),
+            (with_source_arrow("id_q : v0 -> v1"),
+             "line 14: functor 'S': no image for arrow 'id_q'"),
         ],
         ids=["repeated-object", "object-on-two-lines", "second-category",
-             "second-functor", "unknown-domain-object", "unknown-domain-arrow"],
+             "second-functor", "unknown-domain-object", "unknown-domain-arrow",
+             "duplicate-row-bad-last", "duplicate-row-bad-first", "duplicate-row-equal",
+             "unknown-image-object", "unknown-image-arrow", "no-image-object",
+             "no-image-arrow", "identity-like-arrow-without-row"],
     )
     def test_malformed_cospan_is_usage_error(self, capsys, tmp_path, text, message):
         path = tmp_path / "bad.txt"

@@ -34,7 +34,9 @@ from oracles import (
     TANH_COEFFS,
     bernoulli_plus,
     exp_by_powers_class,
+    inverse_by_geometric_series,
     root_splitting_class,
+    series_exp,
     series_quotient,
 )
 
@@ -107,11 +109,11 @@ class TestSeriesOps:
 
     def test_exp_log_round_trip(self):
         one_plus_t = Series1(RATIONAL, [1, 1], cap=6)
-        assert one_plus_t.log().exp() == one_plus_t
+        assert series_exp(one_plus_t.log()) == one_plus_t
 
     def test_log_exp_round_trip_y(self):
         s = Series1(RATIONAL_Y, [0, YPoly([1, 1]), YPoly([0, 2])], cap=5)
-        assert s.exp().log() == s
+        assert series_exp(s).log() == s
 
     def test_inverse_requires_unit(self):
         with pytest.raises(ValueError):
@@ -119,7 +121,7 @@ class TestSeriesOps:
 
     def test_exp_requires_zero_constant(self):
         with pytest.raises(ValueError):
-            Series1(RATIONAL, [1], cap=3).exp()
+            series_exp(Series1(RATIONAL, [1], cap=3))
 
     def test_log_requires_one(self):
         with pytest.raises(ValueError):
@@ -135,35 +137,59 @@ class TestSeriesOps:
         with pytest.raises(ValueError):
             Series1(RATIONAL, [1], cap=1).specialize_y(0)
 
-    def test_narrowing_recorded(self):
-        wide = Series1(RATIONAL, [1, 1], cap=6)
-        narrow = Series1(RATIONAL, [1, 2], cap=3)
-        out = wide * narrow
-        assert out.cap == 3
-        assert out.narrowed
-        same = wide * wide
-        assert not same.narrowed
-        # metadata does not affect equality
-        assert out == Series1(RATIONAL, out.coeffs, cap=3)
-
-    def test_explicit_truncate_not_flagged(self):
-        assert not Series1(RATIONAL, [1, 1, 1], cap=4).truncate(2).narrowed
-
-    def test_compose(self):
-        # (1/(1-t)) o (t + t^2) at low degrees
-        outer = Series1(RATIONAL, [1, 1, 1, 1], cap=3)
-        inner = Series1(RATIONAL, [0, 1, 1], cap=3)
-        got = outer.compose(inner)
-        # 1 + (t+t^2) + (t+t^2)^2 + (t+t^2)^3 mod t^4
-        assert list(got.coeffs) == [Fraction(1), Fraction(1), Fraction(2), Fraction(3)]
-
-    def test_compose_requires_zero_constant(self):
-        outer = Series1(RATIONAL, [1, 1], cap=3)
-        with pytest.raises(ValueError):
-            outer.compose(Series1(RATIONAL, [1], cap=3))
-
     def test_specialize_ty_matches_todd(self):
         assert ty_spec(6).series.specialize_y(0) == todd_spec(6).series
+
+
+@st.composite
+def series(draw, ring, cap, constant=None):
+    """Random Series1 with the given cap, optionally with a fixed constant
+    term."""
+    coeffs = draw(st.lists(coefficients(ring), min_size=cap + 1, max_size=cap + 1))
+    if constant is not None:
+        coeffs[0] = constant
+    return Series1(ring, coeffs, cap=cap)
+
+
+class TestSeries1Results:
+    """Series1 is the one-variable GradedPoly: every result is canonical
+    and still a Series1."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(rings, st.integers(0, 5), st.data())
+    def test_results_are_canonical_series(self, ring, cap, data):
+        s = data.draw(series(ring, cap))
+        t = data.draw(series(ring, cap))
+        unit = data.draw(series(ring, cap, constant=data.draw(small_fractions.filter(bool))))
+        normalized = data.draw(series(ring, cap, constant=1))
+        results = [s * t, unit.inverse(), normalized.log()]
+        results += [s.truncate(c) for c in range(cap + 1)]
+        if ring == RATIONAL_Y:
+            results.append(s.specialize_y(data.draw(small_fractions)))
+            # chern at y = -1: every coefficient past degree 1 vanishes
+            results.append(ty_spec(cap).series.specialize_y(-1))
+        for r in results:
+            assert type(r) is Series1
+            assert_canonical(r)
+        assert unit * unit.inverse() == Series1(ring, [1], cap=cap)
+
+    def test_different_caps_rejected(self):
+        with pytest.raises(ValueError, match="dims"):
+            Series1(RATIONAL, [1, 1], cap=6) * Series1(RATIONAL, [1, 2], cap=3)
+
+
+class TestGradedInverse:
+    @settings(max_examples=100, deadline=None)
+    @given(rings, factor_dims, st.data())
+    def test_equals_geometric_series(self, ring, dims, data):
+        # a random polynomial with its constant term replaced by a unit
+        p = data.draw(graded_polys(ring, dims))
+        unit = data.draw(small_fractions.filter(bool))
+        p = p + GradedPoly.constant(ring, dims, unit - p.constant_term())
+        inv = p.inverse()
+        assert inv == inverse_by_geometric_series(p)
+        assert_canonical(inv)
+        assert p * inv == GradedPoly.one(ring, dims)
 
 
 def line_ring(n):
