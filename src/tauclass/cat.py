@@ -657,10 +657,11 @@ def _assemble_category(name, objects, arrows, compose_rows):
 
 def _parse_functor_block(lines, start, name, dom, cod):
     """Parse 'obj a = b' and 'arrow f = g' rows until 'end'.  Identities of
-    the domain map to identities and need no row; every other object and
+    the domain map to identities and take no row; every other object and
     arrow needs exactly one."""
     dom_obj = {x: i for i, x in enumerate(dom.object_names)}
     dom_mor = {x: i for i, x in enumerate(dom.morphism_names)}
+    identity_of = {f: x for x, f in enumerate(dom.identity)}
     header = lines[start - 1][0]
     rows = {"obj": {}, "arrow": {}}  # kind -> domain name -> (lineno, image)
     i = start
@@ -685,6 +686,10 @@ def _parse_functor_block(lines, start, name, dom, cod):
             raise CospanParseError(
                 lineno, f"functor {name!r}: unknown domain {kind} {left!r}"
             )
+        if head == "arrow" and dom_mor[left] in identity_of:
+            raise CospanParseError(
+                lineno, f"functor {name!r}: identity arrow {left!r} takes no row"
+            )
         if left in rows[head]:
             raise CospanParseError(
                 lineno, f"functor {name!r}: duplicate row for {kind} {left!r}"
@@ -704,7 +709,6 @@ def _parse_functor_block(lines, start, name, dom, cod):
     cod_obj = {x: i for i, x in enumerate(cod.object_names)}
     cod_mor = {x: i for i, x in enumerate(cod.morphism_names)}
     object_map = [image("object", x, rows["obj"], cod_obj) for x in dom.object_names]
-    identity_of = {f: x for x, f in enumerate(dom.identity)}
     morphism_map = [
         cod.identity[object_map[identity_of[f]]] if f in identity_of
         else image("arrow", label, rows["arrow"], cod_mor)

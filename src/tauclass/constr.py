@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .geom import ToyMorphism, ToySpace, euler_char, product
-from .relk import KElement, Triple
+from .relk import KElement
 
 __all__ = [
     "ConstrFn",
@@ -59,6 +59,12 @@ class ConstrFn:
     def scale(self, n: int) -> "ConstrFn":
         return ConstrFn(self.space, tuple(n * v for v in self.values))
 
+    def push(self, f: ToyMorphism) -> "ConstrFn":
+        return push_constr(f, self)
+
+    def cross(self, other: "ConstrFn") -> "ConstrFn":
+        return cross_constr(self, other)
+
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.values)
 
@@ -97,17 +103,11 @@ def euler_integral(beta: ConstrFn) -> int:
     )
 
 
-def const_transform(arg) -> ConstrFn:
-    """Push the constant function 1 on the source along the structure map.
-
-    Accepts a single triple or a whole group element (extended linearly).
-    """
-    if isinstance(arg, Triple):
-        return push_constr(arg.arrow, ConstrFn.ones(arg.space))
-    if isinstance(arg, KElement):
-        acc = ConstrFn.zero(arg.base)
-        for key, coeff in arg.terms.items():
-            triple = key.representative(arg.base)
-            acc = acc + push_constr(triple.arrow, ConstrFn.ones(triple.space)).scale(coeff)
-        return acc
-    raise TypeError("const_transform expects a Triple or a KElement")
+def const_transform(element: KElement) -> ConstrFn:
+    """Push the constant function 1 on each generator's source along its
+    structure map, extended linearly."""
+    acc = ConstrFn.zero(element.base)
+    for key, coeff in element.terms.items():
+        triple = key.representative(element.base)
+        acc = acc + push_constr(triple.arrow, ConstrFn.ones(triple.space)).scale(coeff)
+    return acc

@@ -35,7 +35,6 @@ __all__ = [
     "disjoint_union",
     "identity_morphism",
     "to_point",
-    "inclusions",
     "morphism_product",
     "fiber_square",
     "euler_char",
@@ -45,7 +44,6 @@ __all__ = [
     "pullback",
     "homological_degree",
     "cross",
-    "enumerate_morphisms",
     "enumerate_projections",
     "parse_space",
 ]
@@ -198,21 +196,6 @@ def to_point(x: ToySpace) -> ToyMorphism:
     return ToyMorphism(x, POINT, tuple((0, ()) for _ in x.components))
 
 
-def inclusions(x: ToySpace, y: ToySpace) -> tuple[ToyMorphism, ToyMorphism]:
-    """Canonical inclusions of x and y into their disjoint union."""
-    both = disjoint_union(x, y)
-    off = x.n_components
-    left = ToyMorphism(
-        x, both, tuple((i, tuple(range(len(c)))) for i, c in enumerate(x.components))
-    )
-    right = ToyMorphism(
-        y,
-        both,
-        tuple((off + i, tuple(range(len(c)))) for i, c in enumerate(y.components)),
-    )
-    return left, right
-
-
 def morphism_product(f: ToyMorphism, g: ToyMorphism) -> ToyMorphism:
     """f x g between the product spaces, components row-major."""
     source = product(f.source, g.source)
@@ -332,6 +315,12 @@ class HClass:
 
     def scale(self, value) -> "HClass":
         return HClass(self.space, self.ring, tuple(p.scale(value) for p in self.polys))
+
+    def push(self, f: ToyMorphism) -> "HClass":
+        return pushforward(f, self)
+
+    def cross(self, other: "HClass") -> "HClass":
+        return cross(self, other)
 
     def is_zero(self) -> bool:
         return all(p.is_zero() for p in self.polys)
@@ -482,34 +471,6 @@ def cross(c: HClass, d: HClass) -> HClass:
             # distinct concatenated exponents; Q and Q[y] have no zero divisors
             polys.append(GradedPoly._trusted(c.ring, dims, terms))
     return HClass(space, c.ring, tuple(polys))
-
-
-def _injections(target_dims, source_dims):
-    """All injective factor assignments matching dimensions."""
-    out = []
-    positions = list(range(len(source_dims)))
-    for perm in permutations(positions, len(target_dims)):
-        if all(source_dims[s] == t for s, t in zip(perm, target_dims)):
-            out.append(tuple(perm))
-    return out
-
-
-def enumerate_morphisms(x: ToySpace, y: ToySpace) -> list[ToyMorphism]:
-    """All projection-type morphisms from x to y."""
-    from itertools import product as iproduct
-
-    per_comp = []
-    for comp in x.components:
-        options = []
-        for j, tgt in enumerate(y.components):
-            for assignment in _injections(tgt, comp):
-                options.append((j, assignment))
-        if not options:
-            return []
-        per_comp.append(options)
-    return [
-        ToyMorphism(x, y, tuple(choice)) for choice in iproduct(*per_comp)
-    ]
 
 
 def enumerate_projections(x: ToySpace) -> list[ToyMorphism]:

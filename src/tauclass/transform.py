@@ -20,17 +20,16 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
-from .constr import ConstrFn, const_transform, cross_constr, euler_integral
+from .constr import ConstrFn, const_transform, euler_integral
 from .geom import (
     HClass,
+    TangentData,
     ToyMorphism,
     ToySpace,
-    cross,
     enumerate_projections,
     euler_char,
     projective,
     pullback,
-    pushforward,
     relative_tangent,
     tangent_chern,
     to_point,
@@ -53,6 +52,11 @@ from .series import (
 
 __all__ = [
     "Invariant",
+    "FundamentalClass",
+    "CharacteristicClass",
+    "Indicator",
+    "EulerCharacteristic",
+    "EulerValue",
     "fundamental_invariant",
     "class_invariant",
     "indicator_invariant",
@@ -74,66 +78,106 @@ __all__ = [
     "SUITE_NAMES",
 ]
 
-KIND_FUNDAMENTAL = "fundamental"
-KIND_CLASS = "class"
-KIND_INDICATOR = "indicator"
-KIND_EULER = "euler"
 
-VALUE_HOMOLOGY = "homology"
-VALUE_FUNCTION = "function"
-VALUE_INTEGER = "integer"
+class EulerValue(int):
+    """Euler characteristic as a value: an integer that keeps its type
+    through ``+``, ``-``, ``push``, ``cross`` and ``scale``."""
+
+    def __add__(self, other) -> "EulerValue":
+        return EulerValue(int(self) + other)
+
+    def __sub__(self, other) -> "EulerValue":
+        return EulerValue(int(self) - other)
+
+    def push(self, f: ToyMorphism) -> "EulerValue":
+        return self  # the target group is constant
+
+    def cross(self, other: "EulerValue") -> "EulerValue":
+        return EulerValue(int(self) * other)
+
+    def scale(self, n: int) -> "EulerValue":
+        return EulerValue(int(self) * n)
+
+    def render(self) -> str:
+        return str(int(self))
 
 
 @dataclass(frozen=True)
 class Invariant:
-    """Additive invariant of spaces.
+    """Additive invariant of spaces: ``evaluate(space)`` gives its value
+    and ``zero(base)`` the zero value over a base.  Values push, cross,
+    scale and render themselves, so ``tau`` and the checks need no branch.
 
-    ``multiplicative`` records compatibility with cross products; all the
-    built-in kinds have it, but a deliberately broken invariant can be
-    constructed for testing the rejection path.
+    ``multiplicative`` records compatibility with cross products; a
+    deliberately broken invariant can be built to test the rejection path.
     """
 
-    kind: str
-    spec: ClassSpec | None = None
-    multiplicative: bool = True
+    multiplicative: bool = field(default=True, kw_only=True)
 
-    def __post_init__(self):
-        if self.kind == KIND_CLASS and self.spec is None:
-            raise ValueError("class invariants need a ClassSpec")
+
+class FundamentalClass(Invariant):
+    name = "fundamental"
+
+    def evaluate(self, space: ToySpace) -> HClass:
+        return HClass.unit(space, RATIONAL)
+
+    def zero(self, base: ToySpace) -> HClass:
+        return HClass.zero(base, RATIONAL)
+
+
+@dataclass(frozen=True)
+class CharacteristicClass(Invariant):
+    spec: ClassSpec
 
     @property
     def name(self) -> str:
-        if self.kind == KIND_CLASS:
-            return f"class[{self.spec.name}]"
-        return self.kind
+        return f"class[{self.spec.name}]"
 
-    @property
-    def value_kind(self) -> str:
-        if self.kind in (KIND_FUNDAMENTAL, KIND_CLASS):
-            return VALUE_HOMOLOGY
-        if self.kind == KIND_INDICATOR:
-            return VALUE_FUNCTION
-        return VALUE_INTEGER
+    def evaluate(self, space: ToySpace) -> HClass:
+        """The class of the tangent bundle capped with the fundamental
+        class.  Every toy space is smooth and compact, so capping is
+        Poincare duality: the coefficients stay as they are and only the
+        grading convention moves (see ``geom.homological_degree``)."""
+        return _bundle_class(self.spec, _tangent(space))
 
-    @property
-    def ring(self) -> str:
-        return self.spec.ring if self.kind == KIND_CLASS else RATIONAL
+    def zero(self, base: ToySpace) -> HClass:
+        return HClass.zero(base, self.spec.ring)
+
+
+class Indicator(Invariant):
+    name = "indicator"
+
+    def evaluate(self, space: ToySpace) -> ConstrFn:
+        return ConstrFn.ones(space)
+
+    def zero(self, base: ToySpace) -> ConstrFn:
+        return ConstrFn.zero(base)
+
+
+class EulerCharacteristic(Invariant):
+    name = "euler"
+
+    def evaluate(self, space: ToySpace) -> EulerValue:
+        return EulerValue(euler_char(space))
+
+    def zero(self, base: ToySpace) -> EulerValue:
+        return EulerValue(0)
 
 
 def fundamental_invariant() -> Invariant:
-    return Invariant(KIND_FUNDAMENTAL)
+    return FundamentalClass()
 
 
 def class_invariant(spec: ClassSpec) -> Invariant:
-    return Invariant(KIND_CLASS, spec)
+    return CharacteristicClass(spec)
 
 
 def indicator_invariant() -> Invariant:
-    return Invariant(KIND_INDICATOR)
+    return Indicator()
 
 
 def euler_invariant() -> Invariant:
-    return Invariant(KIND_EULER)
+    return EulerCharacteristic()
 
 
 @lru_cache(maxsize=None)
@@ -146,68 +190,20 @@ def _cached_class(spec: ClassSpec, poly: GradedPoly, rank: int) -> GradedPoly:
     return multiplicative_class(spec, poly, rank)
 
 
+def _bundle_class(spec: ClassSpec, bundle: TangentData) -> HClass:
+    """The spec's multiplicative class of a (relative) tangent bundle."""
+    parts = zip(bundle.polys, bundle.ranks)
+    return HClass(bundle.space, spec.ring, tuple(_cached_class(spec, p, r) for p, r in parts))
+
+
 @lru_cache(maxsize=None)
 def eval_invariant(inv: Invariant, space: ToySpace):
-    """Value of the invariant on a space.
-
-    Characteristic classes are evaluated on the tangent bundle and capped
-    with the fundamental class.  Every toy space is smooth and compact, so
-    capping is Poincare duality: the coefficients stay as they are and only
-    the grading convention moves (see ``geom.homological_degree``)."""
-    if inv.kind == KIND_FUNDAMENTAL:
-        return HClass.unit(space, RATIONAL)
-    if inv.kind == KIND_CLASS:
-        tangent = _tangent(space)
-        polys = tuple(
-            _cached_class(inv.spec, poly, rank)
-            for poly, rank in zip(tangent.polys, tangent.ranks)
-        )
-        return HClass(space, inv.spec.ring, polys)
-    if inv.kind == KIND_INDICATOR:
-        return ConstrFn.ones(space)
-    if inv.kind == KIND_EULER:
-        return euler_char(space)
-    raise ValueError(f"unknown invariant kind {inv.kind!r}")
-
-
-def _zero_value(inv: Invariant, base: ToySpace):
-    if inv.value_kind == VALUE_HOMOLOGY:
-        return HClass.zero(base, inv.ring)
-    if inv.value_kind == VALUE_FUNCTION:
-        return ConstrFn.zero(base)
-    return 0
-
-
-def _push_value(f: ToyMorphism, value):
-    if isinstance(value, HClass):
-        return pushforward(f, value)
-    if isinstance(value, ConstrFn):
-        from .constr import push_constr
-
-        return push_constr(f, value)
-    return value  # integers: the target group is constant
-
-
-def _cross_value(a, b):
-    if isinstance(a, HClass):
-        return cross(a, b)
-    if isinstance(a, ConstrFn):
-        return cross_constr(a, b)
-    return a * b
-
-
-def _scale_value(value, n: int):
-    if isinstance(value, (HClass, ConstrFn)):
-        return value.scale(n)
-    return value * n
+    """Value of the invariant on a space, cached."""
+    return inv.evaluate(space)
 
 
 def render_value(value) -> str:
-    if isinstance(value, (HClass, ConstrFn)):
-        return value.render()
-    if isinstance(value, (YPoly, Fraction, int)):
-        return format_scalar(value)
-    return str(value)
+    return value.render()
 
 
 def render_morphism(f: ToyMorphism) -> str:
@@ -218,11 +214,10 @@ def render_morphism(f: ToyMorphism) -> str:
 def tau(inv: Invariant, element: KElement):
     """The transformation: generators (V, X, h) map to h_*(invariant(V)),
     extended linearly."""
-    acc = _zero_value(inv, element.base)
+    acc = inv.zero(element.base)
     for key, coeff in element.terms.items():
         triple = key.representative(element.base)
-        value = eval_invariant(inv, triple.space)
-        acc = acc + _scale_value(_push_value(triple.arrow, value), coeff)
+        acc = acc + eval_invariant(inv, triple.space).push(triple.arrow).scale(coeff)
     return acc
 
 
@@ -272,7 +267,7 @@ def _report(check: str, inputs: dict, left, right) -> CheckReport:
 def check_naturality(inv: Invariant, f: ToyMorphism, element: KElement) -> CheckReport:
     """tau after pushforward against pushforward after tau."""
     left = tau(inv, pushforward_k(f, element))
-    right = _push_value(f, tau(inv, element))
+    right = tau(inv, element).push(f)
     return _report(
         "naturality",
         {
@@ -290,7 +285,7 @@ def check_multiplicativity(inv: Invariant, e1: KElement, e2: KElement) -> CheckR
     if not inv.multiplicative:
         raise ValueError(f"invariant {inv.name} is not cross-compatible")
     left = tau(inv, cross_k(e1, e2))
-    right = _cross_value(tau(inv, e1), tau(inv, e2))
+    right = tau(inv, e1).cross(tau(inv, e2))
     return _report(
         "multiplicativity",
         {
@@ -309,16 +304,7 @@ def check_verdier_rr(spec: ClassSpec, f: ToyMorphism, element: KElement) -> Chec
     pullback of the transformed element."""
     inv = class_invariant(spec)
     left = tau(inv, pullback_k(f, element))
-    rel = relative_tangent(f)
-    rel_class = HClass(
-        f.source,
-        spec.ring,
-        tuple(
-            _cached_class(spec, poly, rank)
-            for poly, rank in zip(rel.polys, rel.ranks)
-        ),
-    )
-    right = rel_class * pullback(f, tau(inv, element))
+    right = _bundle_class(spec, relative_tangent(f)) * pullback(f, tau(inv, element))
     return _report(
         "verdier-rr",
         {

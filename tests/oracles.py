@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import permutations
 from itertools import product as iproduct
 
-from tauclass.abelian import FpMonoid
+from tauclass.abelian import FpMonoid, IntMatrix
 from tauclass.cat import (
     DEFAULT_MAX_MORPHISMS,
     DEFAULT_MAX_OBJECTS,
@@ -132,15 +132,40 @@ class BoundedMonoidCongruence:
         return False
 
 
+def det(a: IntMatrix) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    if a.rows != a.cols:
+        raise ValueError("determinant of non-square matrix")
+    n = a.rows
+    if n == 0:
+        return 1
+    m = [list(r) for r in a.entries]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
 def all_unimodular(n: int, bound: int):
     """Every n x n integer matrix with entries in [-bound, bound] and det +-1."""
-    from tauclass.abelian import IntMatrix
-
     span = range(-bound, bound + 1)
     for flat in iproduct(span, repeat=n * n):
         rows = [flat[i * n : (i + 1) * n] for i in range(n)]
         m = IntMatrix.from_rows(rows, n)
-        if m.det() in (1, -1):
+        if det(m) in (1, -1):
             yield m
 
 
@@ -436,3 +461,95 @@ def build_comma_exhaustive(cospan: Cospan,
         cat, ct, [x for _, x, _ in triples], [gt for _, gt in pairs], name="pi_t"
     )
     return CommaCat(cospan, cat, tuple(triples), tuple(pairs), pi_s, pi_t)
+
+
+def inclusions(x, y):
+    """Canonical inclusions of x and y into their disjoint union."""
+    from tauclass.geom import ToyMorphism, disjoint_union
+
+    both = disjoint_union(x, y)
+    off = x.n_components
+    left = ToyMorphism(
+        x, both, tuple((i, tuple(range(len(c)))) for i, c in enumerate(x.components))
+    )
+    right = ToyMorphism(
+        y,
+        both,
+        tuple((off + i, tuple(range(len(c)))) for i, c in enumerate(y.components)),
+    )
+    return left, right
+
+
+def _injections(target_dims, source_dims):
+    """All injective factor assignments matching dimensions."""
+    out = []
+    positions = list(range(len(source_dims)))
+    for perm in permutations(positions, len(target_dims)):
+        if all(source_dims[s] == t for s, t in zip(perm, target_dims)):
+            out.append(tuple(perm))
+    return out
+
+
+def enumerate_morphisms(x, y):
+    """All projection-type morphisms from x to y."""
+    from tauclass.geom import ToyMorphism
+
+    per_comp = []
+    for comp in x.components:
+        options = []
+        for j, tgt in enumerate(y.components):
+            for assignment in _injections(tgt, comp):
+                options.append((j, assignment))
+        if not options:
+            return []
+        per_comp.append(options)
+    return [
+        ToyMorphism(x, y, tuple(choice)) for choice in iproduct(*per_comp)
+    ]
+
+
+# Value operations as one switch on the value's type per operation: the
+# reference for the push, cross, scale and render methods of the values.
+
+
+def push_value(f, value):
+    from tauclass.constr import ConstrFn, push_constr
+    from tauclass.geom import HClass, pushforward
+
+    if isinstance(value, HClass):
+        return pushforward(f, value)
+    if isinstance(value, ConstrFn):
+        return push_constr(f, value)
+    return value  # integers: the target group is constant
+
+
+def cross_value(a, b):
+    from tauclass.constr import ConstrFn, cross_constr
+    from tauclass.geom import HClass, cross
+
+    if isinstance(a, HClass):
+        return cross(a, b)
+    if isinstance(a, ConstrFn):
+        return cross_constr(a, b)
+    return a * b
+
+
+def scale_value(value, n: int):
+    from tauclass.constr import ConstrFn
+    from tauclass.geom import HClass
+
+    if isinstance(value, (HClass, ConstrFn)):
+        return value.scale(n)
+    return value * n
+
+
+def render_value(value) -> str:
+    from tauclass.constr import ConstrFn
+    from tauclass.geom import HClass
+    from tauclass.series import YPoly, format_scalar
+
+    if isinstance(value, (HClass, ConstrFn)):
+        return value.render()
+    if isinstance(value, (YPoly, Fraction, int)):
+        return format_scalar(value)
+    return str(value)

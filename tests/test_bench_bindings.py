@@ -48,3 +48,10 @@ def test_coefficient_target_resolves(target):
     missing = [a for a in attrs if a not in cls.__dict__ and a not in spans.COEFF_OPS]
     assert not missing
     assert any(a in cls.__dict__ for a in spans.COEFF_OPS)
+
+
+def test_eval_invariant_cache_info_resolves():
+    # perfbench/child.py reads the hit ratio from this cache
+    from tauclass import transform
+
+    assert callable(getattr(transform.eval_invariant, "cache_info", None))

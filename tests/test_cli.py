@@ -248,12 +248,14 @@ class TestCommaCommand:
              "line 14: functor 'S': no image for arrow 'u'"),
             (with_source_arrow("id_q : v0 -> v1"),
              "line 14: functor 'S': no image for arrow 'id_q'"),
+            (COSPAN_DISCRETE.replace("obj v1 = b\n", "obj v1 = b\narrow id_v0 = s\n"),
+             "line 16: functor 'S': identity arrow 'id_v0' takes no row"),
         ],
         ids=["repeated-object", "object-on-two-lines", "second-category",
              "second-functor", "unknown-domain-object", "unknown-domain-arrow",
              "duplicate-row-bad-last", "duplicate-row-bad-first", "duplicate-row-equal",
              "unknown-image-object", "unknown-image-arrow", "no-image-object",
-             "no-image-arrow", "identity-like-arrow-without-row"],
+             "no-image-arrow", "identity-like-arrow-without-row", "identity-row"],
     )
     def test_malformed_cospan_is_usage_error(self, capsys, tmp_path, text, message):
         path = tmp_path / "bad.txt"

@@ -91,16 +91,16 @@ class TestCross:
 class TestConstTransform:
     def test_identity_triple(self):
         t = Triple(P2, P2, identity_morphism(P2))
-        assert const_transform(t) == ConstrFn.ones(P2)
+        assert const_transform(k_class(t)) == ConstrFn.ones(P2)
 
     def test_projection_triple(self):
         pr = ToyMorphism(projective(1, 1), P1, ((0, (1,)),))
         t = Triple(projective(1, 1), P1, pr)
-        assert const_transform(t) == ConstrFn(P1, (2,))
+        assert const_transform(k_class(t)) == ConstrFn(P1, (2,))
 
     def test_empty_source(self):
         bang = ToyMorphism(EMPTY, P2, ())
-        assert const_transform(Triple(EMPTY, P2, bang)).is_zero()
+        assert const_transform(k_class(Triple(EMPTY, P2, bang))).is_zero()
 
     def test_linear_on_elements(self):
         e = distinguished(P1).scale(3)

@@ -10,9 +10,7 @@ from tauclass.geom import (
     ToyMorphism,
     ToySpace,
     disjoint_union,
-    enumerate_morphisms,
     identity_morphism,
-    inclusions,
     morphism_product,
     product,
     projective,
@@ -29,7 +27,7 @@ from tauclass.relk import (
     pushforward_k,
 )
 
-from oracles import canonical_class_by_permutations
+from oracles import canonical_class_by_permutations, enumerate_morphisms, inclusions
 
 P1 = projective(1)
 P2 = projective(2)

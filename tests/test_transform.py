@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tauclass.constr import ConstrFn, const_transform, euler_integral
 from tauclass.geom import (
@@ -27,7 +29,10 @@ from tauclass.series import (
     ty_spec,
 )
 from tauclass.transform import (
-    Invariant,
+    EulerCharacteristic,
+    EulerValue,
+    _invariant_pool,
+    _report,
     check_const_diagram,
     check_multiplicativity,
     check_naturality,
@@ -42,10 +47,14 @@ from tauclass.transform import (
     indicator_invariant,
     random_element,
     random_morphism,
+    render_value,
     run_suite,
     tau,
     virtual_in_ambient,
 )
+
+import oracles
+from oracles import inclusions
 
 P1 = projective(1)
 P2 = projective(2)
@@ -150,16 +159,63 @@ class TestAdditivity:
         ids=lambda inv: inv.name,
     )
     def test_invariant_additive_over_union(self, inv):
-        from tauclass.geom import inclusions
-        from tauclass.transform import _push_value
-
         for x, y in [(P1, P2), (projective(1, 1), POINT), (P2, P2)]:
             ix, iy = inclusions(x, y)
             whole = eval_invariant(inv, disjoint_union(x, y))
-            glued = _push_value(ix, eval_invariant(inv, x)) + _push_value(
-                iy, eval_invariant(inv, y)
-            )
+            glued = eval_invariant(inv, x).push(ix) + eval_invariant(inv, y).push(iy)
             assert whole == glued
+
+
+class TestValueOperations:
+    """Every value type's push, cross, scale and render against the
+    switch on the value's type they replace (``oracles.push_value`` and
+    its siblings)."""
+
+    spaces = corpus_spaces(3, 2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        inv=st.sampled_from(_invariant_pool(5)),
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(-4, 4),
+    )
+    def test_matches_type_switch(self, inv, seed, n):
+        rng = random.Random(seed)
+        f = random_morphism(rng, self.spaces)
+        v = tau(inv, random_element(rng, f.source))
+        w = eval_invariant(inv, rng.choice(self.spaces))
+        assert render_value(v) == oracles.render_value(v)
+        for got, expect in [
+            (v.push(f), oracles.push_value(f, v)),
+            (v.cross(w), oracles.cross_value(v, w)),
+            (v.scale(n), oracles.scale_value(v, n)),
+        ]:
+            assert got == expect
+            assert render_value(got) == oracles.render_value(expect)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        a=st.integers(-9, 9).map(EulerValue),
+        b=st.integers(-9, 9).map(EulerValue),
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(-4, 4),
+    )
+    def test_euler_value_keeps_its_type(self, a, b, seed, n):
+        f = random_morphism(random.Random(seed), self.spaces)
+        for got, expect in [
+            (a + b, int(a) + int(b)),
+            (a - b, int(a) - int(b)),
+            (a.push(f), int(a)),
+            (a.cross(b), int(a) * int(b)),
+            (a.scale(n), int(a) * n),
+        ]:
+            assert type(got) is EulerValue
+            assert got == expect
+
+    def test_failing_euler_report(self):
+        report = _report("naturality", {}, EulerValue(3), EulerValue(5))
+        assert not report.passed
+        assert (report.left, report.right, report.difference) == ("3", "5", "-2")
 
 
 class TestNaturality:
@@ -228,7 +284,7 @@ class TestMultiplicativity:
         assert report.passed
 
     def test_non_multiplicative_rejected(self):
-        broken = Invariant("euler", multiplicative=False)
+        broken = EulerCharacteristic(multiplicative=False)
         with pytest.raises(ValueError, match="not cross-compatible"):
             check_multiplicativity(broken, distinguished(P1), distinguished(P1))
 
