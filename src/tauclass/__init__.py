@@ -57,8 +57,6 @@ from .relk import (
     pushforward_k,
 )
 from .series import (
-    RATIONAL,
-    RATIONAL_Y,
     ClassSpec,
     GradedPoly,
     Series1,

@@ -170,14 +170,6 @@ class IntMatrix:
             raise ValueError("vector length mismatch")
         return tuple(sum(r[j] * vec[j] for j in range(self.cols)) for r in self.entries)
 
-    def is_diagonal(self) -> bool:
-        return all(
-            self.entries[i][j] == 0
-            for i in range(self.rows)
-            for j in range(self.cols)
-            if i != j
-        )
-
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
 
@@ -340,9 +332,6 @@ class FpAbelianGroup:
         if any(d < 2 for d in self.torsion):
             raise ValueError("torsion factors must be >= 2")
 
-    def is_trivial(self) -> bool:
-        return self.rank == 0 and not self.torsion
-
     def normalize_element(self, vec) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Canonical coordinates (free part, torsion residues) of a vector.
 
@@ -362,9 +351,6 @@ class FpAbelianGroup:
             elif d >= 2:
                 torsion.append(yi % d)
         return tuple(free), tuple(torsion)
-
-    def same_element(self, vec_a, vec_b) -> bool:
-        return self.normalize_element(vec_a) == self.normalize_element(vec_b)
 
     def describe(self) -> str:
         """Human-readable shape, e.g. ``Z + Z/2`` or ``0``."""

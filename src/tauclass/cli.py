@@ -29,7 +29,6 @@ from .cat import (
 from .geom import SpaceParseError, homological_degree, parse_space
 from .relk import distinguished
 from .series import (
-    RATIONAL_Y,
     ClassSpec,
     chern_spec,
     format_scalar,
@@ -85,7 +84,7 @@ def cmd_classes(args) -> int:
     space = parse_space(args.space)
     spec = build_class_spec(args.klass, args.max_degree)
     if args.y is not None:
-        if spec.ring != RATIONAL_Y:
+        if not spec.has_y:
             raise ValueError("--y only applies to classes with Q[y] coefficients")
         spec = ClassSpec(
             f"{spec.name}[y={args.y}]", spec.series.specialize_y(_parse_rational(args.y))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
-from .series import RATIONAL, GradedPoly
+from .series import GradedPoly
 
 __all__ = [
     "ToySpace",
@@ -66,10 +66,6 @@ class ToySpace:
 
     def is_empty(self) -> bool:
         return not self.components
-
-    @property
-    def total_dim(self) -> int:
-        return sum(sum(c) for c in self.components)
 
     def iso_key(self):
         """Canonical isomorphism-class key: multiset of sorted factor tuples."""
@@ -268,7 +264,6 @@ class HClass:
     """Cohomology class of a toy space: one graded polynomial per component."""
 
     space: ToySpace
-    ring: str
     polys: tuple[GradedPoly, ...]
 
     def __post_init__(self):
@@ -277,31 +272,25 @@ class HClass:
         for comp, poly in zip(self.space.components, self.polys):
             if poly.dims != comp:
                 raise ValueError("polynomial dims must match component factors")
-            if poly.ring != self.ring:
-                raise ValueError("component ring differs from class ring")
 
     @classmethod
-    def zero(cls, space: ToySpace, ring: str = RATIONAL) -> "HClass":
-        return cls(space, ring, tuple(GradedPoly.zero(ring, c) for c in space.components))
+    def zero(cls, space: ToySpace) -> "HClass":
+        return cls(space, tuple(GradedPoly.zero(c) for c in space.components))
 
     @classmethod
-    def unit(cls, space: ToySpace, ring: str = RATIONAL) -> "HClass":
-        return cls(space, ring, tuple(GradedPoly.one(ring, c) for c in space.components))
+    def unit(cls, space: ToySpace) -> "HClass":
+        return cls(space, tuple(GradedPoly.one(c) for c in space.components))
 
     def _check(self, other: "HClass"):
         if self.space != other.space:
             raise ValueError("classes live on different spaces")
-        if self.ring != other.ring:
-            raise ValueError("coefficient ring mismatch")
 
     def __add__(self, other: "HClass") -> "HClass":
         self._check(other)
-        return HClass(
-            self.space, self.ring, tuple(a + b for a, b in zip(self.polys, other.polys))
-        )
+        return HClass(self.space, tuple(a + b for a, b in zip(self.polys, other.polys)))
 
     def __neg__(self) -> "HClass":
-        return HClass(self.space, self.ring, tuple(-p for p in self.polys))
+        return HClass(self.space, tuple(-p for p in self.polys))
 
     def __sub__(self, other: "HClass") -> "HClass":
         return self + (-other)
@@ -309,12 +298,10 @@ class HClass:
     def __mul__(self, other: "HClass") -> "HClass":
         """Cup product, componentwise."""
         self._check(other)
-        return HClass(
-            self.space, self.ring, tuple(a * b for a, b in zip(self.polys, other.polys))
-        )
+        return HClass(self.space, tuple(a * b for a, b in zip(self.polys, other.polys)))
 
     def scale(self, value) -> "HClass":
-        return HClass(self.space, self.ring, tuple(p.scale(value) for p in self.polys))
+        return HClass(self.space, tuple(p.scale(value) for p in self.polys))
 
     def push(self, f: ToyMorphism) -> "HClass":
         return pushforward(f, self)
@@ -325,15 +312,8 @@ class HClass:
     def is_zero(self) -> bool:
         return all(p.is_zero() for p in self.polys)
 
-    def with_ring(self, ring: str) -> "HClass":
-        if ring == self.ring:
-            return self
-        return HClass(self.space, ring, tuple(p.with_ring(ring) for p in self.polys))
-
     def specialize_y(self, value) -> "HClass":
-        return HClass(
-            self.space, RATIONAL, tuple(p.specialize_y(value) for p in self.polys)
-        )
+        return HClass(self.space, tuple(p.specialize_y(value) for p in self.polys))
 
     def integral(self):
         """Pushforward to the point: sum of top-monomial coefficients."""
@@ -365,20 +345,15 @@ class TangentData:
     polys: tuple[GradedPoly, ...]
     ranks: tuple[int, ...]
 
-    def as_hclass(self) -> HClass:
-        return HClass(self.space, RATIONAL, self.polys)
-
 
 def tangent_chern(x: ToySpace) -> TangentData:
     """c(TX) per component: prod_i (1 + h_i)^(n_i + 1)."""
     polys = []
     ranks = []
     for comp in x.components:
-        acc = GradedPoly.one(RATIONAL, comp)
+        acc = GradedPoly.one(comp)
         for i, n in enumerate(comp):
-            factor = GradedPoly.one(RATIONAL, comp) + GradedPoly.variable(
-                RATIONAL, comp, i
-            )
+            factor = GradedPoly.one(comp) + GradedPoly.variable(comp, i)
             acc = acc * factor ** (n + 1)
         polys.append(acc)
         ranks.append(sum(comp))
@@ -394,13 +369,11 @@ def relative_tangent(f: ToyMorphism) -> TangentData:
     polys = []
     ranks = []
     for i, comp in enumerate(f.source.components):
-        acc = GradedPoly.one(RATIONAL, comp)
+        acc = GradedPoly.one(comp)
         rank = 0
         for s in f.unassigned(i):
             n = comp[s]
-            factor = GradedPoly.one(RATIONAL, comp) + GradedPoly.variable(
-                RATIONAL, comp, s
-            )
+            factor = GradedPoly.one(comp) + GradedPoly.variable(comp, s)
             acc = acc * factor ** (n + 1)
             rank += n
         polys.append(acc)
@@ -431,10 +404,10 @@ def pushforward(f: ToyMorphism, c: HClass) -> HClass:
     # assigned factors keep their dimensions, so every exponent fits the
     # target component; only sums that cancelled need dropping
     polys = tuple(
-        GradedPoly._trusted(c.ring, comp, {e: v for e, v in contrib.items() if v})
+        GradedPoly._trusted(comp, {e: v for e, v in contrib.items() if v})
         for comp, contrib in zip(f.target.components, sums)
     )
-    return HClass(f.target, c.ring, polys)
+    return HClass(f.target, polys)
 
 
 def pullback(f: ToyMorphism, c: HClass) -> HClass:
@@ -451,14 +424,12 @@ def pullback(f: ToyMorphism, c: HClass) -> HClass:
                 new_exp[s] = exp[t]
             terms[tuple(new_exp)] = coeff
         # an injective relabelling of nonzero terms between equal dimensions
-        polys.append(GradedPoly._trusted(c.ring, comp, terms))
-    return HClass(f.source, c.ring, tuple(polys))
+        polys.append(GradedPoly._trusted(comp, terms))
+    return HClass(f.source, tuple(polys))
 
 
 def cross(c: HClass, d: HClass) -> HClass:
     """External product on the product space (component pairs row-major)."""
-    if c.ring != d.ring:
-        raise ValueError("coefficient ring mismatch")
     space = product(c.space, d.space)
     polys = []
     for cx, px in zip(c.space.components, c.polys):
@@ -469,8 +440,8 @@ def cross(c: HClass, d: HClass) -> HClass:
                 for e2, c2 in py.terms.items():
                     terms[e1 + e2] = c1 * c2
             # distinct concatenated exponents; Q and Q[y] have no zero divisors
-            polys.append(GradedPoly._trusted(c.ring, dims, terms))
-    return HClass(space, c.ring, tuple(polys))
+            polys.append(GradedPoly._trusted(dims, terms))
+    return HClass(space, tuple(polys))
 
 
 def enumerate_projections(x: ToySpace) -> list[ToyMorphism]:

@@ -1,6 +1,8 @@
 """Exact truncated power series and multiplicative characteristic classes.
 
-Coefficients live in Q or Q[y] (``RATIONAL`` / ``RATIONAL_Y``).  A
+A coefficient's type is its ring: ``Fraction`` for Q, ``YPoly`` for
+Q[y].  Q sits inside Q[y], so the two mix freely through ``YPoly``'s
+reflected operators and compare equal when they agree.  A
 normalized univariate series f(t) with f(0) = 1 determines a
 multiplicative class: applied to the Chern roots of a bundle it gives
 cl(E) = prod_i f(a_i), recovered from the total Chern class through
@@ -14,11 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import factorial
 
 __all__ = [
-    "RATIONAL",
-    "RATIONAL_Y",
     "YPoly",
     "Series1",
     "ClassSpec",
@@ -33,10 +34,6 @@ __all__ = [
     "spec_to_text",
     "spec_from_text",
 ]
-
-RATIONAL = "Q"
-RATIONAL_Y = "Q[y]"
-
 
 def _format_fraction(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
@@ -82,7 +79,7 @@ class YPoly:
             acc = acc * v + c
         return acc
 
-    def _coerced(self, other):
+    def _operand(self, other):
         if isinstance(other, YPoly):
             return other
         if isinstance(other, (int, Fraction)):
@@ -90,7 +87,7 @@ class YPoly:
         return None
 
     def __add__(self, other):
-        o = self._coerced(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
         n = max(len(self.coeffs), len(o.coeffs))
@@ -106,19 +103,19 @@ class YPoly:
         return YPoly(-c for c in self.coeffs)
 
     def __sub__(self, other):
-        o = self._coerced(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
         return self + (-o)
 
     def __rsub__(self, other):
-        o = self._coerced(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
         return o + (-self)
 
     def __mul__(self, other):
-        o = self._coerced(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
         if not self.coeffs or not o.coeffs:
@@ -149,12 +146,15 @@ class YPoly:
         return bool(self.coeffs)
 
     def __eq__(self, other):
-        o = self._coerced(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
         return self.coeffs == o.coeffs
 
     def __hash__(self):
+        # a constant equals its rational value, so it must hash like it
+        if len(self.coeffs) <= 1:
+            return hash(self.coeffs[0] if self.coeffs else 0)
         return hash(self.coeffs)
 
     def __repr__(self):
@@ -184,23 +184,10 @@ class YPoly:
         return text
 
 
-def _coerce(ring: str, value):
-    """Canonical coefficient of the given ring from an int/Fraction/YPoly."""
-    if ring == RATIONAL:
-        if isinstance(value, YPoly):
-            return value.constant_value()
-        return value if isinstance(value, Fraction) else Fraction(value)
-    if ring == RATIONAL_Y:
-        return YPoly.of(value)
-    raise ValueError(f"unknown coefficient ring {ring!r}")
-
-
-def _ring_zero(ring: str):
-    return _coerce(ring, 0)
-
-
-def _ring_one(ring: str):
-    return _coerce(ring, 1)
+def _coeff(value):
+    """A stored coefficient: a ``Fraction`` or ``YPoly`` is kept as it is,
+    anything else becomes a ``Fraction``."""
+    return value if isinstance(value, (Fraction, YPoly)) else Fraction(value)
 
 
 def _valid_dims(dims) -> tuple[int, ...]:
@@ -208,11 +195,6 @@ def _valid_dims(dims) -> tuple[int, ...]:
     if any(n < 0 for n in dims):
         raise ValueError("variable dims must be >= 0")
     return dims
-
-
-def _same_ring(a: str, b: str):
-    if a != b:
-        raise ValueError(f"coefficient ring mismatch: {a!r} vs {b!r}")
 
 
 def format_scalar(value) -> str:
@@ -229,22 +211,28 @@ class ClassSpec:
     series: Series1
 
     def __post_init__(self):
-        if self.series[0] != _ring_one(self.series.ring):
+        if self.series[0] != 1:
             raise ValueError("class series must be normalized: f(0) = 1")
 
     @property
-    def ring(self) -> str:
-        return self.series.ring
+    def has_y(self) -> bool:
+        """True when some coefficient is a polynomial in y."""
+        return any(isinstance(c, YPoly) for c in self.series.terms.values())
 
     @property
     def cap(self) -> int:
         return self.series.cap
 
+    @cached_property
+    def log(self) -> Series1:
+        """log f up to the cap, computed once: its degree-k coefficient
+        depends only on f_0..f_k, so every lower truncation is a slice."""
+        return self.series.log()
+
 
 def _todd_coefficients(cap: int) -> list[Fraction]:
     # t/(1 - e^{-t}) = 1 / sum_{k>=0} (-1)^k t^k / (k+1)!
     den = Series1(
-        RATIONAL,
         [Fraction((-1) ** k, factorial(k + 1)) for k in range(cap + 1)],
         cap=cap,
     )
@@ -253,23 +241,21 @@ def _todd_coefficients(cap: int) -> list[Fraction]:
 
 def chern_spec(cap: int) -> ClassSpec:
     """f(t) = 1 + t: the total Chern class."""
-    return ClassSpec("chern", Series1(RATIONAL, [1, 1], cap=cap))
+    return ClassSpec("chern", Series1([1, 1], cap=cap))
 
 
 def todd_spec(cap: int) -> ClassSpec:
     """f(t) = t/(1 - e^{-t}): the Todd class."""
-    return ClassSpec("todd", Series1(RATIONAL, _todd_coefficients(cap), cap=cap))
+    return ClassSpec("todd", Series1(_todd_coefficients(cap), cap=cap))
 
 
 def l_spec(cap: int) -> ClassSpec:
     """f(t) = t/tanh(t): the L-class."""
     sinh_over_t = Series1(
-        RATIONAL,
         [Fraction(1, factorial(k + 1)) if k % 2 == 0 else Fraction(0) for k in range(cap + 1)],
         cap=cap,
     )
     cosh = Series1(
-        RATIONAL,
         [Fraction(1, factorial(k)) if k % 2 == 0 else Fraction(0) for k in range(cap + 1)],
         cap=cap,
     )
@@ -287,7 +273,7 @@ def ty_spec(cap: int) -> ClassSpec:
     coeffs: list = [YPoly.of(todd[k]) * one_plus_y ** k for k in range(cap + 1)]
     if cap >= 1:
         coeffs[1] = coeffs[1] - YPoly.y()
-    return ClassSpec("ty", Series1(RATIONAL_Y, coeffs, cap=cap))
+    return ClassSpec("ty", Series1(coeffs, cap=cap))
 
 
 class GradedPoly:
@@ -295,11 +281,12 @@ class GradedPoly:
 
     ``dims`` lists the nilpotency bound of each variable; exponents are
     componentwise bounded by it and zero coefficients are never stored.
+    Coefficients are ``Fraction`` or ``YPoly``, possibly both in one value.
     """
 
-    __slots__ = ("ring", "dims", "terms")
+    __slots__ = ("dims", "terms")
 
-    def __init__(self, ring, dims, terms=()):
+    def __init__(self, dims, terms=()):
         dims = _valid_dims(dims)
         data = {}
         items = terms.items() if isinstance(terms, dict) else terms
@@ -309,7 +296,7 @@ class GradedPoly:
                 raise ValueError("exponent arity mismatch")
             if any(e < 0 or e > n for e, n in zip(exp, dims)):
                 raise ValueError(f"exponent {exp} outside dims {dims}")
-            c = _coerce(ring, coeff)
+            c = _coeff(coeff)
             prev = data.get(exp)
             if prev is not None:
                 c = prev + c
@@ -317,57 +304,54 @@ class GradedPoly:
                 data[exp] = c
             elif exp in data:
                 del data[exp]
-        self.ring = ring
         self.dims = dims
         self.terms = data
 
     @classmethod
-    def _trusted(cls, ring, dims, terms):
+    def _trusted(cls, dims, terms):
         """Internal constructor for results canonical by construction.
 
         ``dims`` must be a tuple of ints >= 0 and ``terms`` a dict from
-        exponent tuples within ``dims`` to nonzero coefficients of the
-        ring's type (``Fraction`` for Q, ``YPoly`` for Q[y]); nothing is
-        checked or copied.  Values are never mutated after construction,
-        so ``terms`` may be shared.  Methods call it on ``self``, so their
+        exponent tuples within ``dims`` to nonzero ``Fraction`` or ``YPoly``
+        coefficients; nothing is checked or copied.  Values are never
+        mutated after construction, so ``terms`` may be shared.  Methods call it on ``self``, so their
         results keep the class of ``self`` (a ``Series1`` stays one).
         """
         out = object.__new__(cls)
-        out.ring = ring
         out.dims = dims
         out.terms = terms
         return out
 
     @classmethod
-    def zero(cls, ring, dims):
-        return cls._trusted(ring, _valid_dims(dims), {})
+    def zero(cls, dims):
+        return cls._trusted(_valid_dims(dims), {})
 
     @classmethod
-    def constant(cls, ring, dims, value):
+    def constant(cls, dims, value):
         dims = _valid_dims(dims)
-        c = _coerce(ring, value)
-        return cls._trusted(ring, dims, {(0,) * len(dims): c} if c else {})
+        c = _coeff(value)
+        return cls._trusted(dims, {(0,) * len(dims): c} if c else {})
 
     @classmethod
-    def one(cls, ring, dims):
-        return cls.constant(ring, dims, 1)
+    def one(cls, dims):
+        return cls.constant(dims, 1)
 
     @classmethod
-    def variable(cls, ring, dims, i):
+    def variable(cls, dims, i):
         dims = _valid_dims(dims)
         if dims[i] == 0:
             # nilpotent of order 1: the variable is zero in the quotient
-            return cls._trusted(ring, dims, {})
+            return cls._trusted(dims, {})
         exp = [0] * len(dims)
         exp[i] = 1
-        return cls._trusted(ring, dims, {tuple(exp): _ring_one(ring)})
+        return cls._trusted(dims, {tuple(exp): Fraction(1)})
 
     def items(self):
         """Terms sorted by (total degree, exponent tuple)."""
         return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
 
     def coefficient(self, exp):
-        return self.terms.get(tuple(exp), _ring_zero(self.ring))
+        return self.terms.get(tuple(exp), Fraction(0))
 
     def constant_term(self):
         return self.coefficient((0,) * len(self.dims))
@@ -380,11 +364,7 @@ class GradedPoly:
         return sum(self.dims)
 
     def graded_part(self, d: int) -> "GradedPoly":
-        return self._trusted(
-            self.ring,
-            self.dims,
-            {e: c for e, c in self.terms.items() if sum(e) == d},
-        )
+        return self._trusted(self.dims, {e: c for e, c in self.terms.items() if sum(e) == d})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -392,7 +372,6 @@ class GradedPoly:
     def _check(self, other):
         if not isinstance(other, GradedPoly):
             raise TypeError("expected a GradedPoly")
-        _same_ring(self.ring, other.ring)
         if self.dims != other.dims:
             raise ValueError(f"variable dims mismatch: {self.dims} vs {other.dims}")
 
@@ -406,12 +385,10 @@ class GradedPoly:
                 data[e] = s
             elif e in data:
                 del data[e]
-        return self._trusted(self.ring, self.dims, data)
+        return self._trusted(self.dims, data)
 
     def __neg__(self):
-        return self._trusted(
-            self.ring, self.dims, {e: -c for e, c in self.terms.items()}
-        )
+        return self._trusted(self.dims, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -432,7 +409,7 @@ class GradedPoly:
                     data[e] = s
                 elif e in data:
                     del data[e]
-        return self._trusted(self.ring, self.dims, data)
+        return self._trusted(self.dims, data)
 
     __rmul__ = __mul__
 
@@ -440,17 +417,15 @@ class GradedPoly:
         if value == 1:
             # values are immutable, so the unscaled polynomial can be shared
             return self
-        factor = _coerce(self.ring, value)
+        factor = _coeff(value)
         if not factor:
-            return self._trusted(self.ring, self.dims, {})
-        return self._trusted(
-            self.ring, self.dims, {e: c * factor for e, c in self.terms.items()}
-        )
+            return self._trusted(self.dims, {})
+        return self._trusted(self.dims, {e: c * factor for e, c in self.terms.items()})
 
     def __pow__(self, n: int) -> "GradedPoly":
         if n < 0:
             raise ValueError("negative power in a truncated ring")
-        acc = self.one(self.ring, self.dims)
+        acc = self.one(self.dims)
         for _ in range(n):
             acc = acc * self
         return acc
@@ -464,10 +439,10 @@ class GradedPoly:
         # self, gives I_0 = 1/c0 and I_k = -(1/c0) sum_{j=1..k} X_j I_{k-j}
         x = [self.graded_part(d) for d in range(self.total_degree_cap() + 1)]
         inv0 = Fraction(1) / unit
-        parts = [self.constant(self.ring, self.dims, inv0)]
+        parts = [self.constant(self.dims, inv0)]
         result = parts[0]
         for k in range(1, len(x)):
-            acc = self._trusted(self.ring, self.dims, {})
+            acc = self._trusted(self.dims, {})
             for j in range(1, k + 1):
                 if x[j].is_zero() or parts[k - j].is_zero():
                     continue
@@ -477,38 +452,25 @@ class GradedPoly:
             result = result + part
         return result
 
-    def with_ring(self, ring: str) -> "GradedPoly":
-        """Lift Q coefficients into Q[y] (or re-tag an equal ring)."""
-        if ring == self.ring:
-            return self
-        if self.ring == RATIONAL and ring == RATIONAL_Y:
-            return GradedPoly(ring, self.dims, dict(self.terms))
-        raise ValueError(f"cannot move coefficients from {self.ring!r} to {ring!r}")
-
     def specialize_y(self, value) -> "GradedPoly":
-        if self.ring != RATIONAL_Y:
-            raise ValueError("specialize_y needs Q[y] coefficients")
+        """Substitute ``value`` for y; ``Fraction`` coefficients stay as they are."""
         data = {}
         for e, c in self.terms.items():
-            v = c.evaluate(value)
+            v = c.evaluate(value) if isinstance(c, YPoly) else c
             if v:
                 data[e] = v
-        return self._trusted(RATIONAL, self.dims, data)
+        return self._trusted(self.dims, data)
 
     def __eq__(self, other):
         if not isinstance(other, GradedPoly):
             return NotImplemented
-        return (
-            self.ring == other.ring
-            and self.dims == other.dims
-            and self.terms == other.terms
-        )
+        return self.dims == other.dims and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.ring, self.dims, tuple(self.items())))
+        return hash((self.dims, tuple(self.items())))
 
     def __repr__(self):
-        return f"GradedPoly({self.ring!r}, {self.dims!r}, {self.render()!r})"
+        return f"GradedPoly({self.dims!r}, {self.render()!r})"
 
     def render(self, var_names=None) -> str:
         if not self.terms:
@@ -554,13 +516,13 @@ class Series1(GradedPoly):
 
     __slots__ = ()
 
-    def __init__(self, ring, coeffs, cap=None):
+    def __init__(self, coeffs, cap=None):
         coeffs = list(coeffs)
         if cap is None:
             cap = len(coeffs) - 1
         if cap < 0:
             raise ValueError("truncation degree must be >= 0")
-        super().__init__(ring, (cap,), [((k,), c) for k, c in enumerate(coeffs[: cap + 1])])
+        super().__init__((cap,), [((k,), c) for k, c in enumerate(coeffs[: cap + 1])])
 
     @property
     def cap(self) -> int:
@@ -569,7 +531,7 @@ class Series1(GradedPoly):
     @property
     def coeffs(self) -> tuple:
         """Coefficients of degrees 0..cap, zeros included."""
-        zero = _ring_zero(self.ring)
+        zero = Fraction(0)
         return tuple(self.terms.get((k,), zero) for k in range(self.cap + 1))
 
     def __getitem__(self, d: int):
@@ -582,25 +544,23 @@ class Series1(GradedPoly):
             raise ValueError(f"cannot extend truncation {self.cap} to {cap}")
         if cap < 0:
             raise ValueError("truncation degree must be >= 0")
-        return self._trusted(
-            self.ring, (cap,), {e: c for e, c in self.terms.items() if e[0] <= cap}
-        )
+        return self._trusted((cap,), {e: c for e, c in self.terms.items() if e[0] <= cap})
 
     def log(self) -> "Series1":
-        if self[0] != _ring_one(self.ring):
+        if self[0] != 1:
             raise ValueError("log needs constant term 1")
         f = self.coeffs
-        out = [_ring_zero(self.ring)] * (self.cap + 1)
+        out = [Fraction(0)] * (self.cap + 1)
         # k a_k = k f_k - sum_{j=1}^{k-1} j a_j f_{k-j}
         for k in range(1, self.cap + 1):
             acc = k * f[k]
             for j in range(1, k):
                 acc = acc - (j * out[j]) * f[k - j]
-            out[k] = acc / k if isinstance(acc, YPoly) else acc / Fraction(k)
-        return self._trusted(self.ring, self.dims, {(k,): a for k, a in enumerate(out) if a})
+            out[k] = acc / k
+        return self._trusted(self.dims, {(k,): a for k, a in enumerate(out) if a})
 
     def __repr__(self):
-        return f"Series1({self.ring!r}, {[format_scalar(c) for c in self.coeffs]})"
+        return f"Series1({[format_scalar(c) for c in self.coeffs]})"
 
 
 @dataclass(frozen=True)
@@ -614,7 +574,7 @@ class VirtualBundle:
 
     def __post_init__(self):
         for poly in (self.plus_total_chern, self.minus_total_chern):
-            if poly.constant_term() != _ring_one(poly.ring):
+            if poly.constant_term() != 1:
                 raise ValueError("total Chern class must have constant term 1")
 
 
@@ -623,7 +583,7 @@ def _log_coefficients(spec: ClassSpec, upto: int):
         raise ValueError(
             f"class series truncated at {spec.cap} but degree {upto} is needed"
         )
-    return spec.series.truncate(upto).log().coeffs if upto >= 0 else ()
+    return spec.log.coeffs[: upto + 1]
 
 
 def multiplicative_class(spec: ClassSpec, total_chern: GradedPoly, rank: int) -> GradedPoly:
@@ -637,21 +597,20 @@ def multiplicative_class(spec: ClassSpec, total_chern: GradedPoly, rank: int) ->
     """
     if rank < 0:
         raise ValueError("rank must be >= 0")
-    chern = total_chern.with_ring(spec.ring) if spec.ring != total_chern.ring else total_chern
-    dims = chern.dims
-    if chern.constant_term() != _ring_one(spec.ring):
+    dims = total_chern.dims
+    if total_chern.constant_term() != 1:
         raise ValueError("total Chern class must have constant term 1")
-    top = chern.total_degree_cap()
+    top = total_chern.total_degree_cap()
     for d in range(rank + 1, top + 1):
-        if not chern.graded_part(d).is_zero():
+        if not total_chern.graded_part(d).is_zero():
             raise ValueError(f"Chern part in degree {d} exceeds rank {rank}")
     b = _log_coefficients(spec, top)
-    e = [chern.graded_part(d) for d in range(top + 1)]
+    e = [total_chern.graded_part(d) for d in range(top + 1)]
 
     def e_part(j):
-        return e[j] if j <= min(rank, top) else GradedPoly.zero(spec.ring, dims)
+        return e[j] if j <= min(rank, top) else GradedPoly.zero(dims)
 
-    p = [GradedPoly.zero(spec.ring, dims)]
+    p = [GradedPoly.zero(dims)]
     for k in range(1, top + 1):
         acc = e_part(k).scale(((-1) ** (k - 1)) * k)
         for i in range(1, k):
@@ -663,10 +622,10 @@ def multiplicative_class(spec: ClassSpec, total_chern: GradedPoly, rank: int) ->
     # the ideal (h_i^{n_i+1}) is homogeneous) with D(exp A) = D(A) exp A, so
     # the degree-k part is E_k = (1/k) sum_{j=1..k} (j A_j) E_{k-j}.
     d_arg = [p[j].scale(j * b[j]) for j in range(top + 1)]
-    parts = [GradedPoly.one(spec.ring, dims)]
+    parts = [GradedPoly.one(dims)]
     result = parts[0]
     for k in range(1, top + 1):
-        acc = GradedPoly.zero(spec.ring, dims)
+        acc = GradedPoly.zero(dims)
         for j in range(1, k + 1):
             if d_arg[j].is_zero() or parts[k - j].is_zero():
                 continue
@@ -690,7 +649,7 @@ def spec_to_text(spec: ClassSpec) -> str:
     Q[y] coefficients are written as space-separated rationals, constant
     term first.
     """
-    lines = [f"ring: {spec.series.ring}"]
+    lines = [f"ring: {'Q[y]' if spec.has_y else 'Q'}"]
     for c in spec.series.coeffs:
         if isinstance(c, YPoly):
             cs = c.coeffs if c.coeffs else (Fraction(0),)
@@ -701,7 +660,7 @@ def spec_to_text(spec: ClassSpec) -> str:
 
 
 def spec_from_text(text: str, name: str = "custom") -> ClassSpec:
-    ring = None
+    has_y = None
     rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -709,26 +668,26 @@ def spec_from_text(text: str, name: str = "custom") -> ClassSpec:
             continue
         if line.startswith("ring:"):
             tag = line[len("ring:"):].strip()
-            if tag not in (RATIONAL, RATIONAL_Y):
+            if tag not in ("Q", "Q[y]"):
                 raise ValueError(f"line {lineno}: unknown ring {tag!r}")
-            ring = tag
+            has_y = tag == "Q[y]"
             continue
-        if ring is None:
+        if has_y is None:
             raise ValueError(f"line {lineno}: coefficients before 'ring:' header")
         try:
             qs = [Fraction(tok) for tok in line.split()]
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             raise ValueError(f"line {lineno}: malformed rational") from None
         if not qs:
             raise ValueError(f"line {lineno}: empty coefficient")
-        if ring == RATIONAL:
-            if len(qs) != 1:
-                raise ValueError(f"line {lineno}: ring Q expects one rational per line")
-            rows.append(qs[0])
-        else:
+        if has_y:
             rows.append(YPoly(qs))
-    if ring is None:
+        elif len(qs) != 1:
+            raise ValueError(f"line {lineno}: ring Q expects one rational per line")
+        else:
+            rows.append(qs[0])
+    if has_y is None:
         raise ValueError("missing 'ring:' header")
     if not rows:
         raise ValueError("class series needs at least the constant term")
-    return ClassSpec(name, Series1(ring, rows, cap=len(rows) - 1))
+    return ClassSpec(name, Series1(rows, cap=len(rows) - 1))

@@ -36,7 +36,6 @@ from .geom import (
 )
 from .relk import KElement, Triple, cross_k, distinguished, k_class, pullback_k, pushforward_k
 from .series import (
-    RATIONAL,
     ClassSpec,
     GradedPoly,
     VirtualBundle,
@@ -119,10 +118,10 @@ class FundamentalClass(Invariant):
     name = "fundamental"
 
     def evaluate(self, space: ToySpace) -> HClass:
-        return HClass.unit(space, RATIONAL)
+        return HClass.unit(space)
 
     def zero(self, base: ToySpace) -> HClass:
-        return HClass.zero(base, RATIONAL)
+        return HClass.zero(base)
 
 
 @dataclass(frozen=True)
@@ -141,7 +140,7 @@ class CharacteristicClass(Invariant):
         return _bundle_class(self.spec, _tangent(space))
 
     def zero(self, base: ToySpace) -> HClass:
-        return HClass.zero(base, self.spec.ring)
+        return HClass.zero(base)
 
 
 class Indicator(Invariant):
@@ -193,7 +192,7 @@ def _cached_class(spec: ClassSpec, poly: GradedPoly, rank: int) -> GradedPoly:
 def _bundle_class(spec: ClassSpec, bundle: TangentData) -> HClass:
     """The spec's multiplicative class of a (relative) tangent bundle."""
     parts = zip(bundle.polys, bundle.ranks)
-    return HClass(bundle.space, spec.ring, tuple(_cached_class(spec, p, r) for p, r in parts))
+    return HClass(bundle.space, tuple(_cached_class(spec, p, r) for p, r in parts))
 
 
 @lru_cache(maxsize=None)
@@ -336,10 +335,7 @@ def check_const_diagram(element: KElement, max_degree: int | None = None) -> Che
     tangent = _tangent(element.base)
     right = HClass(
         element.base,
-        RATIONAL,
-        tuple(
-            poly.scale(value) for poly, value in zip(tangent.polys, beta.values)
-        ),
+        tuple(poly.scale(value) for poly, value in zip(tangent.polys, beta.values)),
     )
     classes_match = left == right
     left_integral = left.integral()
@@ -398,20 +394,19 @@ def virtual_in_ambient(
         raise ValueError("codimension exceeds the ambient dimension")
 
     tangent = _tangent(ambient)
-    one = GradedPoly.one(RATIONAL, dims)
+    one = GradedPoly.one(dims)
     normal_total = one
     sections = one
     for d in multidegrees:
-        section = GradedPoly.zero(RATIONAL, dims)
+        section = GradedPoly.zero(dims)
         for i, degree in enumerate(d):
             if degree:
-                section = section + GradedPoly.variable(RATIONAL, dims, i).scale(degree)
+                section = section + GradedPoly.variable(dims, i).scale(degree)
         normal_total = normal_total * (one + section)
         sections = sections * section
     vb = VirtualBundle(tangent.polys[0], tangent.ranks[0], normal_total, len(multidegrees))
     cls = virtual_class(spec, vb)
-    poly = cls * sections.with_ring(spec.ring)
-    return HClass(ambient, spec.ring, (poly,))
+    return HClass(ambient, (cls * sections,))
 
 
 # --- bounded corpus and suites ----------------------------------------------

@@ -1,6 +1,10 @@
 """Hypothesis strategies for truncated polynomials and toy morphisms, and
 the canonical-form check for results the kernel builds without
-re-validation."""
+re-validation.
+
+``RATIONAL`` and ``RATIONAL_Y`` label which coefficients a strategy
+draws: ``Fraction`` for Q, ``YPoly`` for Q[y].  The values themselves
+carry no label."""
 
 from __future__ import annotations
 
@@ -10,15 +14,17 @@ from itertools import product as iproduct
 from hypothesis import strategies as st
 
 from tauclass.geom import HClass, ToyMorphism, ToySpace
-from tauclass.series import RATIONAL, RATIONAL_Y, GradedPoly, YPoly
+from tauclass.series import GradedPoly, YPoly
 
+RATIONAL = "Q"
+RATIONAL_Y = "Q[y]"
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 rings = st.sampled_from([RATIONAL, RATIONAL_Y])
 factor_dims = st.lists(st.integers(0, 3), min_size=1, max_size=3).map(tuple)
 
 
 def coefficients(ring):
-    """Coefficients of the ring, zero included."""
+    """Coefficients drawn for the label, zero included."""
     if ring == RATIONAL:
         return small_fractions
     return st.lists(small_fractions, max_size=3).map(YPoly)
@@ -30,14 +36,12 @@ def graded_polys(draw, ring, dims):
     exponents and zero coefficients are part of the input."""
     exps = list(iproduct(*(range(n + 1) for n in dims)))
     chosen = draw(st.lists(st.sampled_from(exps), max_size=8))
-    return GradedPoly(ring, dims, [(e, draw(coefficients(ring))) for e in chosen])
+    return GradedPoly(dims, [(e, draw(coefficients(ring))) for e in chosen])
 
 
 @st.composite
 def hclasses(draw, ring, space):
-    return HClass(
-        space, ring, tuple(draw(graded_polys(ring, comp)) for comp in space.components)
-    )
+    return HClass(space, tuple(draw(graded_polys(ring, comp)) for comp in space.components))
 
 
 @st.composite
@@ -67,12 +71,11 @@ def projections(draw):
 
 def assert_canonical(poly: GradedPoly):
     """What the validating constructor guarantees, checked on any value."""
-    assert poly == GradedPoly(poly.ring, poly.dims, dict(poly.terms))
+    assert poly == GradedPoly(poly.dims, dict(poly.terms))
     assert type(poly.dims) is tuple
-    coeff_type = Fraction if poly.ring == RATIONAL else YPoly
     for exp, coeff in poly.terms.items():
         assert coeff, f"zero coefficient stored at {exp}"
-        assert type(coeff) is coeff_type
+        assert type(coeff) in (Fraction, YPoly)
         assert type(exp) is tuple and len(exp) == len(poly.dims)
         assert all(0 <= e <= n for e, n in zip(exp, poly.dims))
 

@@ -11,7 +11,7 @@ from tauclass.abelian import (
     smith_normal_form,
 )
 
-from oracles import BoundedMonoidCongruence, all_unimodular, det
+from oracles import BoundedMonoidCongruence, all_unimodular, det, is_diagonal
 
 
 def check_smith_invariants(a):
@@ -19,7 +19,7 @@ def check_smith_invariants(a):
     assert snf.u @ a @ snf.v == snf.s
     assert det(snf.u) in (1, -1)
     assert det(snf.v) in (1, -1)
-    assert snf.s.is_diagonal()
+    assert is_diagonal(snf.s)
     diag = snf.diagonal()
     assert all(d >= 0 for d in diag)
     for x, y in zip(diag, diag[1:]):
@@ -43,7 +43,7 @@ class TestSmithNormalForm:
         for u in all_unimodular(1, 1):
             for v in all_unimodular(2, 2):
                 m = u @ a @ v
-                if m.is_diagonal():
+                if is_diagonal(m):
                     seen.add(tuple(abs(d) for d in m.diagonal()))
         assert seen == {(2,)}
         assert (u_entry := smith_normal_form(a).s.entries[0]) == (2, 0), u_entry
@@ -103,7 +103,7 @@ class TestGroupCompletion:
 
     def test_idempotent_generator_gives_trivial_group(self):
         g = group_completion(IDEMPOTENT)
-        assert g.is_trivial()
+        assert (g.rank, g.torsion) == (0, ())
 
     def test_idempotent_matches_pair_construction(self):
         # pair entries stay at degree <= 2; the closure bound leaves room
@@ -142,7 +142,7 @@ class TestGroupCompletion:
 
     def test_empty_presentation(self):
         g = group_completion(FpMonoid(0))
-        assert g.is_trivial()
+        assert (g.rank, g.torsion) == (0, ())
         assert g.describe() == "0"
         assert g.normalize_element(()) == ((), ())
 
@@ -191,8 +191,8 @@ class TestNormalizeElement:
         assert g.normalize_element((1, 1)) == ((2,), (1,))
         assert g.normalize_element((1, -1)) == ((0,), (1,))
         # a - b is 2-torsion and equals b - a in the completion
-        assert g.same_element((1, -1), (-1, 1))
-        assert not g.same_element((1, 0), (0, 1))
+        assert g.normalize_element((1, -1)) == g.normalize_element((-1, 1))
+        assert g.normalize_element((1, 0)) != g.normalize_element((0, 1))
 
     def test_zero_vector(self):
         for monoid in CORPUS:

@@ -28,7 +28,6 @@ from tauclass.cat import (
 from tauclass.geom import projective
 from tauclass.relk import distinguished
 from tauclass.series import (
-    RATIONAL,
     GradedPoly,
     chern_spec,
     l_spec,
@@ -154,7 +153,7 @@ def test_criterion_8_group_completion():
         g_free = group_completion(free)
         assert (g_free.rank, g_free.torsion) == (2, ())
         g_idem = group_completion(idem)
-        assert g_idem.is_trivial()
+        assert (g_idem.rank, g_idem.torsion) == (0, ())
         g_two = group_completion(two_each)
         assert (g_two.rank, g_two.torsion) == (1, (2,))
 
@@ -285,7 +284,7 @@ def test_criterion_10_oracle_equivalence():
                     if 0 < d <= rank:
                         counter += 1
                         terms[exp] = Fraction((-1) ** counter * (counter + 1), 1 + d)
-                total = GradedPoly(RATIONAL, dims, terms)
+                total = GradedPoly(dims, terms)
                 newton = multiplicative_class(spec, total, rank)
                 oracle = root_splitting_class(spec, total, rank)
                 assert newton == oracle

@@ -95,6 +95,16 @@ class TestClassesCommand:
         assert code_a == code_b == 0
         assert json.loads(custom)["components"] == json.loads(builtin)["components"]
 
+    @pytest.mark.parametrize("text", ["ring: Q\n1\n1/0\n", "ring: Q[y]\n1\n0 1/0\n"])
+    def test_zero_denominator_in_class_file(self, capsys, tmp_path, text):
+        path = tmp_path / "z.txt"
+        path.write_text(text)
+        code = main(["classes", "P2", "--class", f"file:{path}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: line 3: malformed rational\n"
+
     def test_parse_error_exit_code(self, capsys):
         code, _ = run_cli(capsys, "classes", "Q17")
         assert code == 2
@@ -442,4 +452,32 @@ class TestGoldenOutput:
         path.write_text(text)
         code, out = run_cli(capsys, command, str(path), "--format", "json")
         assert code == exit_code
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "klass,extra,digest",
+        [
+            ("ty", ("--format", "text"),
+             "519d4e43a64ccddc3929e85de96cd5959b1072981a7435dcc152ee275be1560e"),
+            ("file", ("--format", "text"),
+             "409ff1c6c35e20c2686faa83a65c5aae7e9dd65ce1fed7fd82804dd5f72ecbeb"),
+            ("file", ("--format", "json"),
+             "932b86e1fef2ca3bc1d62bcfd752ac9de914680a3cbd54f750779739e3299215"),
+            ("file", ("--y", "3/7", "--format", "text"),
+             "ad86fe1c587431f7c304fca1038d741eaa81d36784c857c8ff8488d487dc06a4"),
+            ("file", ("--y", "3/7", "--format", "json"),
+             "a80d7efe438ee20ae5b01b5bd684cae9674584d668b88f4d8925b51fa40f1489"),
+        ],
+        ids=["ty-text", "qy-file-text", "qy-file-json", "qy-file-y-text", "qy-file-y-json"],
+    )
+    def test_qy_class_digest(self, capsys, tmp_path, klass, extra, digest):
+        # a Q[y] spec file whose rows mix y-free fractions with a y term
+        if klass == "file":
+            path = tmp_path / "qy.cls"
+            path.write_text("ring: Q[y]\n1\n1/2\n0 1/3\n-1/5\n")
+            klass = f"file:{path}"
+        code, out = run_cli(
+            capsys, "classes", "P2 x P1 + P3", "--class", klass, "--max-degree", "3", *extra
+        )
+        assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest

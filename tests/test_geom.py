@@ -29,7 +29,7 @@ from tauclass.geom import (
     tangent_chern,
     to_point,
 )
-from tauclass.series import RATIONAL, GradedPoly
+from tauclass.series import GradedPoly
 
 from graded_checks import assert_canonical_class, hclasses, projections, rings
 from oracles import enumerate_morphisms, inclusions
@@ -40,11 +40,11 @@ P1xP1 = projective(1, 1)
 
 
 def monomial_class(space, comp_index, exp, coeff=1):
-    polys = [GradedPoly.zero(RATIONAL, c) for c in space.components]
+    polys = [GradedPoly.zero(c) for c in space.components]
     polys[comp_index] = GradedPoly(
-        RATIONAL, space.components[comp_index], {tuple(exp): coeff}
+        space.components[comp_index], {tuple(exp): coeff}
     )
-    return HClass(space, RATIONAL, tuple(polys))
+    return HClass(space, tuple(polys))
 
 
 def basis_classes(space):
@@ -110,21 +110,21 @@ class TestParse:
 class TestTangent:
     def test_p1(self):
         td = tangent_chern(P1)
-        assert td.polys[0] == GradedPoly(RATIONAL, (1,), {(0,): 1, (1,): 2})
+        assert td.polys[0] == GradedPoly((1,), {(0,): 1, (1,): 2})
         assert td.ranks == (1,)
 
     def test_point(self):
         td = tangent_chern(POINT)
-        assert td.polys[0] == GradedPoly.one(RATIONAL, ())
+        assert td.polys[0] == GradedPoly.one(())
         assert td.ranks == (0,)
 
     def test_p1_x_p1_top_class_integrates_to_euler(self):
         td = tangent_chern(P1xP1)
         expect = GradedPoly(
-            RATIONAL, (1, 1), {(0, 0): 1, (1, 0): 2, (0, 1): 2, (1, 1): 4}
+            (1, 1), {(0, 0): 1, (1, 0): 2, (0, 1): 2, (1, 1): 4}
         )
         assert td.polys[0] == expect
-        assert HClass(P1xP1, RATIONAL, td.polys).integral() == euler_char(P1xP1)
+        assert HClass(P1xP1, td.polys).integral() == euler_char(P1xP1)
 
     @pytest.mark.parametrize(
         "space",
@@ -139,15 +139,15 @@ class TestTangent:
 class TestRelativeTangent:
     def test_identity_is_trivial(self):
         td = relative_tangent(identity_morphism(projective(2, 1)))
-        assert td.polys[0] == GradedPoly.one(RATIONAL, (2, 1))
+        assert td.polys[0] == GradedPoly.one((2, 1))
         assert td.ranks == (0,)
 
     def test_projection_keeps_dropped_factor(self):
         # P2 x P1 -> P1 keeping the last factor
         f = ToyMorphism(projective(2, 1), P1, ((0, (1,)),))
         td = relative_tangent(f)
-        h0 = GradedPoly.variable(RATIONAL, (2, 1), 0)
-        one = GradedPoly.one(RATIONAL, (2, 1))
+        h0 = GradedPoly.variable((2, 1), 0)
+        one = GradedPoly.one((2, 1))
         assert td.polys[0] == (one + h0) ** 3
         assert td.ranks == (2,)
 
@@ -165,9 +165,9 @@ class TestRelativeTangent:
     )
     def test_whitney_relation(self, source, f):
         # c(T_source) = pullback(c(T_target)) * c(T_f)
-        src = tangent_chern(source).as_hclass()
-        tgt = tangent_chern(f.target).as_hclass()
-        rel = relative_tangent(f).as_hclass()
+        src = HClass(source, tangent_chern(source).polys)
+        tgt = HClass(f.target, tangent_chern(f.target).polys)
+        rel = HClass(source, relative_tangent(f).polys)
         assert src == pullback(f, tgt) * rel
 
 
@@ -213,10 +213,9 @@ class TestPushforwardPullback:
         fold = ToyMorphism(both, P1, ((0, (0,)), (0, (0,))))
         c = HClass(
             both,
-            RATIONAL,
             (
-                GradedPoly(RATIONAL, (1,), {(1,): 1}),
-                GradedPoly(RATIONAL, (1,), {(1,): 2}),
+                GradedPoly((1,), {(1,): 1}),
+                GradedPoly((1,), {(1,): 2}),
             ),
         )
         assert pushforward(fold, c) == monomial_class(P1, 0, (1,), 3)
@@ -237,7 +236,7 @@ def sample_morphisms(max_total_dim=6):
         disjoint_union(P1xP1, POINT),
     ]
     for x in spaces:
-        if x.total_dim > max_total_dim:
+        if sum(sum(c) for c in x.components) > max_total_dim:
             continue
         out.append(identity_morphism(x))
         out.append(to_point(x))
@@ -326,7 +325,7 @@ class TestBaseChange:
 class TestCapAndGrading:
     def test_p1_tangent_class_homology_view(self):
         # (1 + 2h) against [P1]: fundamental class plus 2 points
-        td = tangent_chern(P1).as_hclass()
+        td = HClass(P1, tangent_chern(P1).polys)
         assert td.polys[0].coefficient((0,)) == 1
         assert td.polys[0].coefficient((1,)) == 2
         assert homological_degree((1,), (0,)) == 2
@@ -340,7 +339,7 @@ class TestCross:
         got = cross(a, b)
         assert got.space == P1xP1
         assert got.polys[0] == GradedPoly(
-            RATIONAL, (1, 1), {(0, 1): 1, (1, 1): 2}
+            (1, 1), {(0, 1): 1, (1, 1): 2}
         )
 
     def test_cross_with_zero(self):
@@ -353,8 +352,8 @@ class TestCross:
         c = HClass.unit(both)
         assert len(c.polys) == 2
         # restriction to each piece is the unit of that piece
-        assert c.polys[0] == GradedPoly.one(RATIONAL, (1,))
-        assert c.polys[1] == GradedPoly.one(RATIONAL, (2,))
+        assert c.polys[0] == GradedPoly.one((1,))
+        assert c.polys[1] == GradedPoly.one((2,))
 
 
 class TestTrustedResults:
@@ -373,7 +372,7 @@ class TestTrustedResults:
         doubled = ToyMorphism(
             disjoint_union(f.source, f.source), f.target, f.legs + f.legs
         )
-        c_and_minus_c = HClass(doubled.source, ring, c.polys + (-c).polys)
+        c_and_minus_c = HClass(doubled.source, c.polys + (-c).polys)
         pushed = pushforward(doubled, c_and_minus_c)
         assert_canonical_class(pushed)
         assert pushed.is_zero()
@@ -394,7 +393,7 @@ class TestInclusionsAndEnumeration:
         assert ix.target == both and iy.target == both
         c = HClass.unit(P1)
         pushed = pushforward(ix, c)
-        assert pushed.polys[0] == GradedPoly.one(RATIONAL, (1,))
+        assert pushed.polys[0] == GradedPoly.one((1,))
         assert pushed.polys[1].is_zero()
 
     def test_enumerate_morphisms_counts(self):

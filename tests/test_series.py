@@ -5,8 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tauclass.series import (
-    RATIONAL,
-    RATIONAL_Y,
     ClassSpec,
     GradedPoly,
     Series1,
@@ -14,6 +12,7 @@ from tauclass.series import (
     YPoly,
     chern_spec,
     l_spec,
+    _log_coefficients,
     multiplicative_class,
     spec_from_text,
     spec_to_text,
@@ -23,6 +22,8 @@ from tauclass.series import (
 )
 
 from graded_checks import (
+    RATIONAL,
+    RATIONAL_Y,
     assert_canonical,
     coefficients,
     factor_dims,
@@ -35,6 +36,7 @@ from oracles import (
     bernoulli_plus,
     exp_by_powers_class,
     inverse_by_geometric_series,
+    lift_to_y,
     root_splitting_class,
     series_exp,
     series_quotient,
@@ -99,43 +101,33 @@ class TestNamedSeries:
 
     def test_normalization_enforced(self):
         with pytest.raises(ValueError):
-            ClassSpec("bad", Series1(RATIONAL, [2, 1], cap=2))
+            ClassSpec("bad", Series1([2, 1], cap=2))
 
 
 class TestSeriesOps:
     def test_inverse_geometric(self):
-        inv = Series1(RATIONAL, [1, 1], cap=5).inverse()
+        inv = Series1([1, 1], cap=5).inverse()
         assert list(inv.coeffs) == [Fraction((-1) ** k) for k in range(6)]
 
     def test_exp_log_round_trip(self):
-        one_plus_t = Series1(RATIONAL, [1, 1], cap=6)
+        one_plus_t = Series1([1, 1], cap=6)
         assert series_exp(one_plus_t.log()) == one_plus_t
 
     def test_log_exp_round_trip_y(self):
-        s = Series1(RATIONAL_Y, [0, YPoly([1, 1]), YPoly([0, 2])], cap=5)
+        s = Series1([0, YPoly([1, 1]), YPoly([0, 2])], cap=5)
         assert series_exp(s).log() == s
 
     def test_inverse_requires_unit(self):
         with pytest.raises(ValueError):
-            Series1(RATIONAL, [0, 1], cap=3).inverse()
+            Series1([0, 1], cap=3).inverse()
 
     def test_exp_requires_zero_constant(self):
         with pytest.raises(ValueError):
-            series_exp(Series1(RATIONAL, [1], cap=3))
+            series_exp(Series1([1], cap=3))
 
     def test_log_requires_one(self):
         with pytest.raises(ValueError):
-            Series1(RATIONAL, [2], cap=3).log()
-
-    def test_ring_mismatch_rejected(self):
-        q = Series1(RATIONAL, [1, 1], cap=3)
-        qy = Series1(RATIONAL_Y, [1, 1], cap=3)
-        with pytest.raises(ValueError, match="ring"):
-            q + qy
-
-    def test_specialize_needs_y_ring(self):
-        with pytest.raises(ValueError):
-            Series1(RATIONAL, [1], cap=1).specialize_y(0)
+            Series1([2], cap=3).log()
 
     def test_specialize_ty_matches_todd(self):
         assert ty_spec(6).series.specialize_y(0) == todd_spec(6).series
@@ -148,7 +140,7 @@ def series(draw, ring, cap, constant=None):
     coeffs = draw(st.lists(coefficients(ring), min_size=cap + 1, max_size=cap + 1))
     if constant is not None:
         coeffs[0] = constant
-    return Series1(ring, coeffs, cap=cap)
+    return Series1(coeffs, cap=cap)
 
 
 class TestSeries1Results:
@@ -171,11 +163,11 @@ class TestSeries1Results:
         for r in results:
             assert type(r) is Series1
             assert_canonical(r)
-        assert unit * unit.inverse() == Series1(ring, [1], cap=cap)
+        assert unit * unit.inverse() == Series1([1], cap=cap)
 
     def test_different_caps_rejected(self):
         with pytest.raises(ValueError, match="dims"):
-            Series1(RATIONAL, [1, 1], cap=6) * Series1(RATIONAL, [1, 2], cap=3)
+            Series1([1, 1], cap=6) * Series1([1, 2], cap=3)
 
 
 class TestGradedInverse:
@@ -185,66 +177,66 @@ class TestGradedInverse:
         # a random polynomial with its constant term replaced by a unit
         p = data.draw(graded_polys(ring, dims))
         unit = data.draw(small_fractions.filter(bool))
-        p = p + GradedPoly.constant(ring, dims, unit - p.constant_term())
+        p = p + GradedPoly.constant(dims, unit - p.constant_term())
         inv = p.inverse()
         assert inv == inverse_by_geometric_series(p)
         assert_canonical(inv)
-        assert p * inv == GradedPoly.one(ring, dims)
+        assert p * inv == GradedPoly.one(dims)
 
 
 def line_ring(n):
-    return GradedPoly(RATIONAL, (n,), {(1,): 1})
+    return GradedPoly((n,), {(1,): 1})
 
 
 class TestMultiplicativeClass:
     def test_chern_is_identity(self):
         dims = (2, 1)
         c = GradedPoly(
-            RATIONAL, dims, {(0, 0): 1, (1, 0): 3, (0, 1): 2, (1, 1): 6, (2, 0): 3}
+            dims, {(0, 0): 1, (1, 0): 3, (0, 1): 2, (1, 1): 6, (2, 0): 3}
         )
         assert multiplicative_class(chern_spec(4), c, rank=3) == c
 
     def test_line_bundle_gives_f_of_x(self):
         # rank 1, c = 1 + x: the class is f(x)
         x = line_ring(3)
-        c = GradedPoly.one(RATIONAL, (3,)) + x
+        c = GradedPoly.one((3,)) + x
         spec = todd_spec(4)
         got = multiplicative_class(spec, c, rank=1)
         expect = GradedPoly(
-            RATIONAL, (3,), {(k,): spec.series[k] for k in range(4)}
+            (3,), {(k,): spec.series[k] for k in range(4)}
         )
         assert got == expect
 
     def test_rank_two_todd_degree_two(self):
         # td = 1 + c1/2 + (c1^2 + c2)/12 + ...
         dims = (1, 1)
-        c1 = GradedPoly(RATIONAL, dims, {(1, 0): 1, (0, 1): 1})
-        c2 = GradedPoly(RATIONAL, dims, {(1, 1): 1})
-        total = GradedPoly.one(RATIONAL, dims) + c1 + c2
+        c1 = GradedPoly(dims, {(1, 0): 1, (0, 1): 1})
+        c2 = GradedPoly(dims, {(1, 1): 1})
+        total = GradedPoly.one(dims) + c1 + c2
         got = multiplicative_class(todd_spec(4), total, rank=2)
         expect_degree2 = (c1 * c1 + c2).scale(Fraction(1, 12))
         assert got.graded_part(2) == expect_degree2
         assert got.graded_part(1) == c1.scale(Fraction(1, 2))
 
     def test_unit_series_gives_one(self):
-        unit = ClassSpec("unit", Series1(RATIONAL, [1], cap=6))
+        unit = ClassSpec("unit", Series1([1], cap=6))
         dims = (2, 2)
-        total = GradedPoly(RATIONAL, dims, {(0, 0): 1, (1, 0): 5, (0, 1): -2, (1, 1): 1})
+        total = GradedPoly(dims, {(0, 0): 1, (1, 0): 5, (0, 1): -2, (1, 1): 1})
         got = multiplicative_class(unit, total, rank=2)
-        assert got == GradedPoly.one(RATIONAL, dims)
+        assert got == GradedPoly.one(dims)
 
     def test_unnormalized_input_rejected(self):
-        bad = GradedPoly(RATIONAL, (2,), {(0,): 2})
+        bad = GradedPoly((2,), {(0,): 2})
         with pytest.raises(ValueError):
             multiplicative_class(chern_spec(3), bad, rank=1)
 
     def test_part_beyond_rank_rejected(self):
-        c = GradedPoly(RATIONAL, (2,), {(0,): 1, (2,): 1})
+        c = GradedPoly((2,), {(0,): 1, (2,): 1})
         with pytest.raises(ValueError, match="rank"):
             multiplicative_class(chern_spec(3), c, rank=1)
 
     def test_series_cap_too_small_rejected(self):
-        c = GradedPoly.one(RATIONAL, (4,)) + line_ring(4)
+        c = GradedPoly.one((4,)) + line_ring(4)
         with pytest.raises(ValueError, match="truncated"):
             multiplicative_class(chern_spec(2), c, rank=1)
 
@@ -265,7 +257,7 @@ class TestMultiplicativeClass:
             if 0 < d <= rank:
                 count += 1
                 terms[exp] = Fraction((-1) ** count * count, 1 + (d % 3))
-        total = GradedPoly(RATIONAL, dims, terms)
+        total = GradedPoly(dims, terms)
         newton = multiplicative_class(spec, total, rank)
         oracle = root_splitting_class(spec, total, rank)
         assert newton == oracle
@@ -289,7 +281,7 @@ class TestMultiplicativeClass:
             for e in exps:
                 if sum(e) <= rank:
                     terms[e] = Fraction(next(it))
-            return GradedPoly(RATIONAL, dims, terms)
+            return GradedPoly(dims, terms)
 
         ce = random_total(rank_e)
         cf = random_total(rank_f)
@@ -314,7 +306,7 @@ def normalized_totals(draw):
     for exp in iproduct(*(range(n + 1) for n in dims)):
         if 0 < sum(exp) <= cut:
             terms[exp] = draw(small_fractions)
-    total = GradedPoly(RATIONAL, dims, terms)
+    total = GradedPoly(dims, terms)
     highest = max(sum(e) for e in total.terms)
     return total, draw(st.integers(highest, top))
 
@@ -327,7 +319,83 @@ def class_specs(draw, cap):
     coeffs = [1] + [
         YPoly(draw(st.lists(small_fractions, max_size=3))) for _ in range(cap)
     ]
-    return ClassSpec("random-y", Series1(RATIONAL_Y, coeffs, cap=cap))
+    return ClassSpec("random-y", Series1(coeffs, cap=cap))
+
+
+class TestLogOfSpec:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 6), st.data())
+    def test_sliced_log_equals_truncated_log(self, cap, data):
+        spec = data.draw(class_specs(cap))
+        assert spec.log is spec.log  # computed once per spec
+        for t in range(cap + 1):
+            assert _log_coefficients(spec, t) == spec.series.truncate(t).log().coeffs
+
+    def test_degree_past_cap_rejected(self):
+        with pytest.raises(ValueError, match="truncated at 2"):
+            _log_coefficients(todd_spec(2), 3)
+
+
+class TestMixedCoefficients:
+    """Q sits inside Q[y]: Q and Q[y] operands mix without a lift, and give
+    what the same operation gives after lifting Q into Q[y]."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(factor_dims, st.data())
+    def test_mixed_operations_match_lifted(self, dims, data):
+        p = data.draw(graded_polys(RATIONAL, dims))
+        q = data.draw(graded_polys(RATIONAL_Y, dims))
+        y_scalar = data.draw(coefficients(RATIONAL_Y))
+        q_scalar = data.draw(coefficients(RATIONAL))
+        lifted = lift_to_y(p)
+        pairs = [
+            (p, lifted),
+            (p + q, lifted + q),
+            (q + p, q + lifted),
+            (p - q, lifted - q),
+            (q - p, q - lifted),
+            (p * q, lifted * q),
+            (q * p, q * lifted),
+            (p.scale(y_scalar), lifted.scale(y_scalar)),
+            (q.scale(q_scalar), q.scale(YPoly.of(q_scalar))),
+        ]
+        for got, expect in pairs:
+            assert got == expect
+            assert hash(got) == hash(expect)
+            assert_canonical(got)
+        assert (p == q) == (lifted == q)
+
+    @given(small_fractions)
+    def test_constant_ypoly_hashes_like_its_value(self, value):
+        constant = YPoly([value])
+        assert constant == value
+        assert hash(constant) == hash(value)
+        assert len({constant, value}) == 1
+
+    def test_zero_ypoly_hashes_like_zero(self):
+        assert hash(YPoly()) == hash(Fraction(0)) == hash(0)
+        assert len({YPoly([3]), Fraction(3)}) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(factor_dims, st.data())
+    def test_specialize_y_free_value_is_unchanged(self, dims, data):
+        p = data.draw(graded_polys(RATIONAL, dims))
+        value = data.draw(small_fractions)
+        for poly in (p, lift_to_y(p)):
+            got = poly.specialize_y(value)
+            assert got == p
+            assert_canonical(got)
+
+    def test_specialize_y_free_series_keeps_fractions(self):
+        todd = todd_spec(4).series
+        assert todd.specialize_y(Fraction(3, 7)) == todd
+        assert not ClassSpec("todd", todd.specialize_y(2)).has_y
+
+    def test_has_y(self):
+        assert ty_spec(2).has_y
+        assert not todd_spec(2).has_y
+        # a Q[y] file whose rows are all y-free still reads as Q[y]
+        assert spec_from_text("ring: Q[y]\n1\n1/2\n").has_y
 
 
 class TestGradedExpRecurrence:
@@ -364,57 +432,57 @@ class TestTrustedResults:
     @given(rings, factor_dims, st.data())
     def test_constructors_are_canonical(self, ring, dims, data):
         results = [
-            GradedPoly.zero(ring, dims),
-            GradedPoly.one(ring, dims),
-            GradedPoly.constant(ring, dims, data.draw(coefficients(ring))),
+            GradedPoly.zero(dims),
+            GradedPoly.one(dims),
+            GradedPoly.constant(dims, data.draw(coefficients(ring))),
         ]
-        results += [GradedPoly.variable(ring, dims, i) for i in range(len(dims))]
+        results += [GradedPoly.variable(dims, i) for i in range(len(dims))]
         for r in results:
             assert_canonical(r)
 
     @pytest.mark.parametrize("one", [1, Fraction(1), YPoly.of(1)])
     def test_scale_by_one_shares_the_value(self, one):
-        p = GradedPoly(RATIONAL_Y, (2,), {(0,): YPoly([1, 1]), (1,): 3})
+        p = GradedPoly((2,), {(0,): YPoly([1, 1]), (1,): 3})
         assert p.scale(one) is p
 
     def test_scale_by_zero(self):
-        p = GradedPoly(RATIONAL, (1, 1), {(0, 0): 1, (1, 1): 2})
-        assert p.scale(0) == GradedPoly.zero(RATIONAL, (1, 1))
+        p = GradedPoly((1, 1), {(0, 0): 1, (1, 1): 2})
+        assert p.scale(0) == GradedPoly.zero((1, 1))
 
     def test_validating_constructor_merges_and_drops(self):
-        p = GradedPoly(RATIONAL, (2,), [((1,), 2), ((1,), -2), ((2,), 1), ((0,), 0)])
+        p = GradedPoly((2,), [((1,), 2), ((1,), -2), ((2,), 1), ((0,), 0)])
         assert p.terms == {(2,): Fraction(1)}
         with pytest.raises(ValueError, match="outside dims"):
-            GradedPoly(RATIONAL, (1,), {(2,): 1})
+            GradedPoly((1,), {(2,): 1})
         with pytest.raises(ValueError, match="arity"):
-            GradedPoly(RATIONAL, (1,), {(0, 0): 1})
+            GradedPoly((1,), {(0, 0): 1})
         with pytest.raises(ValueError, match="dims"):
-            GradedPoly.zero(RATIONAL, (-1,))
+            GradedPoly.zero((-1,))
 
 
 class TestVirtualClass:
     def test_trivial_minus_part(self):
         dims = (2,)
-        plus = GradedPoly.one(RATIONAL, dims) + line_ring(2).scale(3)
-        vb = VirtualBundle(plus, 1, GradedPoly.one(RATIONAL, dims), 0)
+        plus = GradedPoly.one(dims) + line_ring(2).scale(3)
+        vb = VirtualBundle(plus, 1, GradedPoly.one(dims), 0)
         spec = todd_spec(4)
         assert virtual_class(spec, vb) == multiplicative_class(spec, plus, 1)
 
     def test_cancellation(self):
         dims = (2,)
-        c = GradedPoly.one(RATIONAL, dims) + line_ring(2)
+        c = GradedPoly.one(dims) + line_ring(2)
         vb = VirtualBundle(c, 1, c, 1)
-        assert virtual_class(chern_spec(4), vb) == GradedPoly.one(RATIONAL, dims)
+        assert virtual_class(chern_spec(4), vb) == GradedPoly.one(dims)
 
     def test_plane_conic_virtual_tangent(self):
         # degree-2 curve in the plane: (1+h)^3 / (1+2h) = 1 + h + h^2 mod h^3
         dims = (2,)
         h = line_ring(2)
-        ambient = (GradedPoly.one(RATIONAL, dims) + h) ** 3
-        normal = GradedPoly.one(RATIONAL, dims) + h.scale(2)
+        ambient = (GradedPoly.one(dims) + h) ** 3
+        normal = GradedPoly.one(dims) + h.scale(2)
         vb = VirtualBundle(ambient, 2, normal, 1)
         got = virtual_class(chern_spec(4), vb)
-        assert got == GradedPoly(RATIONAL, dims, {(0,): 1, (1,): 1, (2,): 1})
+        assert got == GradedPoly(dims, {(0,): 1, (1,): 1, (2,): 1})
 
 
 class TestSpecSerialization:
@@ -428,6 +496,15 @@ class TestSpecSerialization:
     def test_missing_ring_header(self):
         with pytest.raises(ValueError, match="ring"):
             spec_from_text("1\n1\n")
+
+    @pytest.mark.parametrize("text", ["ring: Q\n1\n1/0\n", "ring: Q[y]\n1\n0 1/0\n"])
+    def test_zero_denominator_is_malformed(self, text):
+        with pytest.raises(ValueError, match="^line 3: malformed rational$"):
+            spec_from_text(text)
+
+    @pytest.mark.parametrize("text", ["ring: Q\n1\n1/3\n", "ring: Q[y]\n1\n1/2\n0 1/3\n"])
+    def test_header_follows_the_coefficients(self, text):
+        assert spec_to_text(spec_from_text(text)) == text
 
     def test_q_ring_rejects_vectors(self):
         with pytest.raises(ValueError, match="one rational"):

@@ -15,16 +15,26 @@ from tauclass.geom import (
     identity_morphism,
     product,
     projective,
+    pullback,
     pushforward,
+    relative_tangent,
     to_point,
 )
-from tauclass.relk import KElement, Triple, cross_k, distinguished, k_class, pushforward_k
+from tauclass.relk import (
+    KElement,
+    Triple,
+    cross_k,
+    distinguished,
+    k_class,
+    pullback_k,
+    pushforward_k,
+)
 from tauclass.series import (
-    RATIONAL,
     GradedPoly,
     YPoly,
     chern_spec,
     l_spec,
+    multiplicative_class,
     todd_spec,
     ty_spec,
 )
@@ -65,7 +75,7 @@ class TestEvalInvariant:
         # (1+h)^3 capped with the fundamental class: 1, 3h, 3h^2
         value = eval_invariant(class_invariant(chern_spec(4)), P2)
         assert value.polys[0] == GradedPoly(
-            RATIONAL, (2,), {(0,): 1, (1,): 3, (2,): 3}
+            (2,), {(0,): 1, (1,): 3, (2,): 3}
         )
         assert value.integral() == 3  # matches the Euler characteristic
 
@@ -76,7 +86,7 @@ class TestEvalInvariant:
     def test_todd_class_of_p1(self):
         # td(TP1) = 1 + h: fundamental class plus one point
         value = eval_invariant(class_invariant(todd_spec(3)), P1)
-        assert value.polys[0] == GradedPoly(RATIONAL, (1,), {(0,): 1, (1,): 1})
+        assert value.polys[0] == GradedPoly((1,), {(0,): 1, (1,): 1})
 
     def test_indicator(self):
         assert eval_invariant(indicator_invariant(), P2) == ConstrFn.ones(P2)
@@ -377,7 +387,7 @@ class TestVirtualAmbient:
     def test_line_in_plane(self):
         got = virtual_in_ambient(chern_spec(4), P2, [(1,)])
         # (1+h)^3 (1+h)^{-1} h = h + 2h^2: a line plus two points
-        assert got.polys[0] == GradedPoly(RATIONAL, (2,), {(1,): 1, (2,): 2})
+        assert got.polys[0] == GradedPoly((2,), {(1,): 1, (2,): 2})
         # degree zero: chi(P1) = 2
         assert got.integral() == 2
 
@@ -403,6 +413,41 @@ class TestVirtualAmbient:
             virtual_in_ambient(chern_spec(4), disjoint_union(P1, P1), [])
 
 
+class TestTyFractionCoefficients:
+    """A Q[y] value may hold ``Fraction`` coefficients next to ``YPoly``
+    ones: they come from Q-by-Q products, so they are integers and render
+    exactly as the equal constant ``YPoly`` would."""
+
+    spaces = corpus_spaces(3, 2)
+    spec = ty_spec(9)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_fraction_coefficients_are_integers(self, seed):
+        rng = random.Random(seed)
+        inv = class_invariant(self.spec)
+        space = rng.choice(self.spaces)
+        value = tau(inv, random_element(rng, space))
+        f = random_morphism(rng, self.spaces)
+        element = random_element(rng, f.target, max_extra=1, max_terms=2)
+        relative = relative_tangent(f)
+        rel_class = HClass(f.source, tuple(
+            multiplicative_class(self.spec, p, r) for p, r in zip(relative.polys, relative.ranks)
+        ))
+        values = [
+            value,
+            value.cross(tau(inv, random_element(rng, rng.choice(self.spaces)))),
+            tau(inv, random_element(rng, f.source)).push(f),
+            pullback(f, tau(inv, element)),
+            tau(inv, pullback_k(f, element)),
+            rel_class * pullback(f, tau(inv, element)),
+        ]
+        for v in values:
+            for poly in v.polys:
+                for c in poly.terms.values():
+                    assert not isinstance(c, Fraction) or c.denominator == 1, (c, v)
+
+
 class TestSpecializationLadder:
     def test_tau_ty_specializes(self):
         rng = random.Random(21)
@@ -426,7 +471,7 @@ class TestCorpus:
 
     def test_corpus_spaces_bounded(self):
         spaces = corpus_spaces(4, 2)
-        assert all(s.total_dim <= 4 for s in spaces)
+        assert all(sum(sum(c) for c in s.components) <= 4 for s in spaces)
         assert all(1 <= s.n_components <= 2 for s in spaces)
         assert len(set(spaces)) == len(spaces)
 
