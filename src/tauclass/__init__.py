@@ -70,18 +70,18 @@ from .series import (
     virtual_class,
 )
 from .transform import (
+    CharacteristicClass,
     CheckReport,
+    EulerCharacteristic,
+    FundamentalClass,
+    Indicator,
     Invariant,
     check_const_diagram,
     check_multiplicativity,
     check_naturality,
     check_verdier_rr,
     chi_y_genus,
-    class_invariant,
-    euler_invariant,
     eval_invariant,
-    fundamental_invariant,
-    indicator_invariant,
     run_suite,
     tau,
     virtual_in_ambient,

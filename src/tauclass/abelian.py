@@ -54,9 +54,6 @@ class FormalSum:
         """Terms as a list of (key, coefficient), sorted by key."""
         return sorted(self._terms.items())
 
-    def coefficient(self, key):
-        return self._terms.get(key, 0)
-
     def support(self):
         return sorted(self._terms)
 
@@ -136,20 +133,9 @@ class IntMatrix:
             cols = len(rows[0]) if rows else 0
         return cls(len(rows), cols, tuple(rows))
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, tuple((0,) * cols for _ in range(rows)))
-
     def __getitem__(self, idx):
         i, j = idx
         return self.entries[i][j]
-
-    def row(self, i):
-        return self.entries[i]
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -181,9 +167,6 @@ class SmithForm:
     u: IntMatrix
     s: IntMatrix
     v: IntMatrix
-
-    def diagonal(self) -> tuple[int, ...]:
-        return self.s.diagonal()
 
 
 def smith_normal_form(a: IntMatrix) -> SmithForm:
@@ -375,7 +358,7 @@ def group_completion(monoid: FpMonoid) -> FpAbelianGroup:
         [[col[i] for col in cols] for i in range(n)], len(cols)
     )
     snf = smith_normal_form(rel)
-    diag = list(snf.diagonal()) + [0] * (n - min(rel.rows, rel.cols))
+    diag = list(snf.s.diagonal()) + [0] * (n - min(rel.rows, rel.cols))
     rank = sum(1 for d in diag if d == 0)
     torsion = tuple(d for d in diag if d >= 2)
     return FpAbelianGroup(

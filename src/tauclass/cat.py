@@ -267,9 +267,6 @@ class CommaCat:
     pi_s: FinFunctor
     pi_t: FinFunctor
 
-    def triple_index(self, triple) -> int:
-        return self.triples.index(tuple(triple))
-
 
 def build_comma(cospan: Cospan,
                 max_objects=DEFAULT_MAX_OBJECTS,
@@ -363,9 +360,6 @@ class Fiber:
     object_ids: tuple[int, ...]
     morphism_ids: tuple[int, ...]
 
-    def object_index(self, original_id: int) -> int:
-        return self.object_ids.index(original_id)
-
 
 def fiber_category(fun: FinFunctor, b: int) -> Fiber:
     """Objects mapped to b, morphisms mapped to id_b."""
@@ -412,7 +406,7 @@ def induced_fiber_functor(comma: CommaCat, f: int) -> FinFunctor:
     for obj in fib1.object_ids:
         v, _, h = comma.triples[obj]
         moved = (v, x2, base.compose(h, tf))
-        object_map.append(fib2.object_index(comma.triple_index(moved)))
+        object_map.append(fib2.object_ids.index(comma.triples.index(moved)))
     morphism_map = []
     for k1, mor in enumerate(fib1.morphism_ids):
         gs, _ = comma.pairs[mor]
@@ -438,18 +432,6 @@ def induced_fiber_functor(comma: CommaCat, f: int) -> FinFunctor:
         object_map,
         morphism_map,
         name=f"induced[{ct.morphism_names[f]}]",
-    )
-
-
-def compose_functors(first: FinFunctor, second: FinFunctor) -> FinFunctor:
-    if first.cod != second.dom:
-        raise ValueError("functors not composable")
-    return FinFunctor(
-        first.dom,
-        second.cod,
-        [second.object_map[x] for x in first.object_map],
-        [second.morphism_map[f] for f in first.morphism_map],
-        name=f"{second.name}.{first.name}",
     )
 
 

@@ -65,9 +65,6 @@ class ConstrFn:
     def cross(self, other: "ConstrFn") -> "ConstrFn":
         return cross_constr(self, other)
 
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self.values)
-
     def render(self) -> str:
         if not self.values:
             return "0"

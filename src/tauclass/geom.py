@@ -67,10 +67,6 @@ class ToySpace:
     def is_empty(self) -> bool:
         return not self.components
 
-    def iso_key(self):
-        """Canonical isomorphism-class key: multiset of sorted factor tuples."""
-        return tuple(sorted(tuple(sorted(c)) for c in self.components))
-
     def __mul__(self, other: "ToySpace") -> "ToySpace":
         return product(self, other)
 
@@ -309,12 +305,6 @@ class HClass:
     def cross(self, other: "HClass") -> "HClass":
         return cross(self, other)
 
-    def is_zero(self) -> bool:
-        return all(p.is_zero() for p in self.polys)
-
-    def specialize_y(self, value) -> "HClass":
-        return HClass(self.space, tuple(p.specialize_y(value) for p in self.polys))
-
     def integral(self):
         """Pushforward to the point: sum of top-monomial coefficients."""
         acc = None
@@ -347,17 +337,9 @@ class TangentData:
 
 
 def tangent_chern(x: ToySpace) -> TangentData:
-    """c(TX) per component: prod_i (1 + h_i)^(n_i + 1)."""
-    polys = []
-    ranks = []
-    for comp in x.components:
-        acc = GradedPoly.one(comp)
-        for i, n in enumerate(comp):
-            factor = GradedPoly.one(comp) + GradedPoly.variable(comp, i)
-            acc = acc * factor ** (n + 1)
-        polys.append(acc)
-        ranks.append(sum(comp))
-    return TangentData(x, tuple(polys), tuple(ranks))
+    """c(TX) per component: prod_i (1 + h_i)^(n_i + 1), the tangents along
+    the fibers of the map to the point."""
+    return relative_tangent(to_point(x))
 
 
 def relative_tangent(f: ToyMorphism) -> TangentData:

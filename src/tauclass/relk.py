@@ -130,15 +130,11 @@ class KElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def generators(self):
-        """Sorted (TripleClass, coefficient) pairs."""
-        return self.terms.items()
-
     def render(self) -> str:
         if self.is_zero():
             return "0"
         parts = []
-        for key, coeff in self.generators():
+        for key, coeff in self.terms.items():
             if coeff == 1:
                 parts.append(key.render())
             else:

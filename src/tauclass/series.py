@@ -35,9 +35,6 @@ __all__ = [
     "spec_from_text",
 ]
 
-def _format_fraction(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
 
 class YPoly:
     """Polynomial in y with exact rational coefficients."""
@@ -59,12 +56,6 @@ class YPoly:
     @classmethod
     def y(cls) -> "YPoly":
         return cls((Fraction(0), Fraction(1)))
-
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def constant_value(self) -> Fraction:
         """The value as a rational; error if y actually occurs."""
@@ -168,7 +159,7 @@ class YPoly:
             if c == 0:
                 continue
             if k == 0:
-                parts.append(_format_fraction(c))
+                parts.append(str(c))
             else:
                 mono = "y" if k == 1 else f"y^{k}"
                 if c == 1:
@@ -176,7 +167,7 @@ class YPoly:
                 elif c == -1:
                     term = f"-{mono}"
                 else:
-                    term = f"{_format_fraction(c)}*{mono}"
+                    term = f"{c}*{mono}"
                 parts.append(term)
         text = parts[0]
         for p in parts[1:]:
@@ -195,12 +186,6 @@ def _valid_dims(dims) -> tuple[int, ...]:
     if any(n < 0 for n in dims):
         raise ValueError("variable dims must be >= 0")
     return dims
-
-
-def format_scalar(value) -> str:
-    if isinstance(value, YPoly):
-        return str(value)
-    return _format_fraction(Fraction(value))
 
 
 @dataclass(frozen=True)
@@ -222,6 +207,11 @@ class ClassSpec:
     @property
     def cap(self) -> int:
         return self.series.cap
+
+    def require_degree(self, degree: int) -> None:
+        """Fail unless the series reaches the given degree."""
+        if self.cap < degree:
+            raise ValueError(f"class series truncated at {self.cap} but degree {degree} is needed")
 
     @cached_property
     def log(self) -> Series1:
@@ -472,14 +462,13 @@ class GradedPoly:
     def __repr__(self):
         return f"GradedPoly({self.dims!r}, {self.render()!r})"
 
-    def render(self, var_names=None) -> str:
+    def render(self) -> str:
         if not self.terms:
             return "0"
-        if var_names is None:
-            if len(self.dims) == 1:
-                var_names = ("h",)
-            else:
-                var_names = tuple(f"h{i + 1}" for i in range(len(self.dims)))
+        if len(self.dims) == 1:
+            var_names = ("h",)
+        else:
+            var_names = tuple(f"h{i + 1}" for i in range(len(self.dims)))
         parts = []
         for e, c in self.items():
             factors = []
@@ -488,7 +477,7 @@ class GradedPoly:
                     factors.append(name)
                 elif k > 1:
                     factors.append(f"{name}^{k}")
-            coeff = format_scalar(c)
+            coeff = str(c)
             if isinstance(c, YPoly) and (len(c.coeffs) > 1 or "/" in coeff):
                 coeff = f"({coeff})"
             if not factors:
@@ -511,7 +500,7 @@ class Series1(GradedPoly):
 
     The cap is part of the value.  Arithmetic, equality, hashing and
     ``specialize_y`` are the kernel's, so binary operations need equal
-    caps; ``truncate`` narrows a series explicitly.
+    caps.
     """
 
     __slots__ = ()
@@ -539,13 +528,6 @@ class Series1(GradedPoly):
             raise ValueError(f"degree {d} outside truncation 0..{self.cap}")
         return self.coefficient((d,))
 
-    def truncate(self, cap: int) -> "Series1":
-        if cap > self.cap:
-            raise ValueError(f"cannot extend truncation {self.cap} to {cap}")
-        if cap < 0:
-            raise ValueError("truncation degree must be >= 0")
-        return self._trusted((cap,), {e: c for e, c in self.terms.items() if e[0] <= cap})
-
     def log(self) -> "Series1":
         if self[0] != 1:
             raise ValueError("log needs constant term 1")
@@ -560,7 +542,7 @@ class Series1(GradedPoly):
         return self._trusted(self.dims, {(k,): a for k, a in enumerate(out) if a})
 
     def __repr__(self):
-        return f"Series1({[format_scalar(c) for c in self.coeffs]})"
+        return f"Series1({[str(c) for c in self.coeffs]})"
 
 
 @dataclass(frozen=True)
@@ -579,10 +561,7 @@ class VirtualBundle:
 
 
 def _log_coefficients(spec: ClassSpec, upto: int):
-    if spec.cap < upto:
-        raise ValueError(
-            f"class series truncated at {spec.cap} but degree {upto} is needed"
-        )
+    spec.require_degree(upto)
     return spec.log.coeffs[: upto + 1]
 
 
@@ -653,9 +632,9 @@ def spec_to_text(spec: ClassSpec) -> str:
     for c in spec.series.coeffs:
         if isinstance(c, YPoly):
             cs = c.coeffs if c.coeffs else (Fraction(0),)
-            lines.append(" ".join(_format_fraction(q) for q in cs))
+            lines.append(" ".join(str(q) for q in cs))
         else:
-            lines.append(_format_fraction(c))
+            lines.append(str(c))
     return "\n".join(lines) + "\n"
 
 

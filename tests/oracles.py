@@ -203,7 +203,7 @@ def root_splitting_class(spec, chern, rank):
 
     root_dims = (top,) * rank
     roots = [GradedPoly.variable(root_dims, i) for i in range(rank)]
-    f_coeffs = spec.series.truncate(top).coeffs
+    f_coeffs = spec.series.coeffs[: top + 1]
 
     product = GradedPoly.one(root_dims)
     for var in roots:
@@ -244,11 +244,11 @@ def exp_by_powers_class(spec, chern, rank):
     of the whole argument instead of the graded recurrence."""
     from math import factorial
 
-    from tauclass.series import GradedPoly
+    from tauclass.series import GradedPoly, Series1
 
     dims = chern.dims
     top = chern.total_degree_cap()
-    b = spec.series.truncate(top).log().coeffs
+    b = Series1(spec.series.coeffs[: top + 1]).log().coeffs
     e = [chern.graded_part(d) for d in range(top + 1)]
 
     def e_part(j):
@@ -475,6 +475,19 @@ def build_comma_exhaustive(cospan: Cospan,
     return CommaCat(cospan, cat, tuple(triples), tuple(pairs), pi_s, pi_t)
 
 
+def compose_functors(first: FinFunctor, second: FinFunctor) -> FinFunctor:
+    """``second`` after ``first``, by composing the index maps."""
+    if first.cod != second.dom:
+        raise ValueError("functors not composable")
+    return FinFunctor(
+        first.dom,
+        second.cod,
+        [second.object_map[x] for x in first.object_map],
+        [second.morphism_map[f] for f in first.morphism_map],
+        name=f"{second.name}.{first.name}",
+    )
+
+
 def inclusions(x, y):
     """Canonical inclusions of x and y into their disjoint union."""
     from tauclass.geom import ToyMorphism, disjoint_union
@@ -558,10 +571,7 @@ def scale_value(value, n: int):
 def render_value(value) -> str:
     from tauclass.constr import ConstrFn
     from tauclass.geom import HClass
-    from tauclass.series import YPoly, format_scalar
 
     if isinstance(value, (HClass, ConstrFn)):
         return value.render()
-    if isinstance(value, (YPoly, Fraction, int)):
-        return format_scalar(value)
     return str(value)

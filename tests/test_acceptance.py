@@ -17,7 +17,6 @@ from tauclass.cat import (
     FinFunctor,
     build_comma,
     categories_isomorphic,
-    compose_functors,
     discrete_category,
     fiber_category,
     induced_fiber_functor,
@@ -36,19 +35,19 @@ from tauclass.series import (
     ty_spec,
 )
 from tauclass.transform import (
+    CharacteristicClass,
+    EulerCharacteristic,
+    FundamentalClass,
+    Indicator,
     chi_y_genus,
-    class_invariant,
     corpus_spaces,
-    euler_invariant,
     eval_invariant,
-    fundamental_invariant,
-    indicator_invariant,
     run_suite,
     tau,
     virtual_in_ambient,
 )
 
-from oracles import BoundedMonoidCongruence, root_splitting_class
+from oracles import BoundedMonoidCongruence, compose_functors, root_splitting_class
 
 
 class Criterion:
@@ -88,13 +87,13 @@ def test_criterion_1_specialization_identities():
 def test_criterion_2_normalization():
     with Criterion(2, "tau on distinguished elements equals the invariant, dim <= 5", 5.0):
         invariants = [
-            fundamental_invariant(),
-            class_invariant(chern_spec(6)),
-            class_invariant(todd_spec(6)),
-            class_invariant(l_spec(6)),
-            class_invariant(ty_spec(6)),
-            indicator_invariant(),
-            euler_invariant(),
+            FundamentalClass(),
+            CharacteristicClass(chern_spec(6)),
+            CharacteristicClass(todd_spec(6)),
+            CharacteristicClass(l_spec(6)),
+            CharacteristicClass(ty_spec(6)),
+            Indicator(),
+            EulerCharacteristic(),
         ]
         spaces = corpus_spaces(max_dim=5, max_components=3)
         assert len(spaces) > 100

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import build_comma_exhaustive, verify_category_exhaustive
+from oracles import build_comma_exhaustive, compose_functors, verify_category_exhaustive
 from tauclass.cat import (
     CapacityError,
     Cospan,
@@ -10,7 +10,6 @@ from tauclass.cat import (
     FinFunctor,
     build_comma,
     categories_isomorphic,
-    compose_functors,
     discrete_category,
     fiber_category,
     induced_fiber_functor,

@@ -113,6 +113,27 @@ class TestClassesCommand:
         code, _ = run_cli(capsys, "classes", "P3", "--class", "todd", "--max-degree", "2")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "space,cap,degree",
+        [("P5", "1", 5), ("P800", "1", 800), ("P1 x P1 + P3", "1", 2),
+         ("P3 + P1 x P5", "2", 6)],
+    )
+    def test_small_cap_rejected_before_tangent_class(self, capsys, monkeypatch, space, cap,
+                                                     degree):
+        from tauclass import transform
+
+        def fail(space):
+            raise AssertionError("tangent class computed under a too-small cap")
+
+        monkeypatch.setattr(transform, "_tangent", fail)
+        code = main(["classes", space, "--max-degree", cap])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: class series truncated at {cap} but degree {degree} is needed\n"
+        )
+
 
 class TestCheckCommand:
     def test_small_all_suite_passes(self, capsys):
@@ -433,6 +454,35 @@ class TestGoldenOutput:
         code, out = run_cli(capsys, *argv, "--format", "json")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (("classes", "P2 x P1 + pt", "--class", "todd"),
+             "5f4fc6e0fc0faedc366b090f9940bdef7f5e1cdcbec2c18609b0678706073641"),
+            (("classes", "P3", "--class", "l"),
+             "650340c5b26d108b80b6f919a5c1f90c7970303265ddc27baf322b0eac28c69d"),
+            (("genus", "P1 x P2"),
+             "3ba31fba0ab6b3915aaa98303369ea37fe8951df4ecc7a2aa392766e389aaf25"),
+            (("check", "all", "--seed", "7", "--max-dim", "4"),
+             "02c492d5b4f103c5afa6c775c20b3d2d70d813bd30d6117edf4529afe4b639c1"),
+        ],
+        ids=["todd-P2xP1+pt", "l-P3", "genus-P1xP2", "check-all"],
+    )
+    def test_text_digest(self, capsys, argv, digest):
+        code, out = run_cli(capsys, *argv, "--format", "text")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_cap_far_above_dimension(self, capsys):
+        # the spec is built only as far as the space needs; output unchanged
+        code, out = run_cli(
+            capsys, "classes", "P2", "--class", "ty", "--max-degree", "40", "--format", "json"
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "3c70d716b38cc13cfe60a76e0f00caee2b17212e628de05564781170a4020748"
+        )
 
     @pytest.mark.parametrize(
         "command,text,exit_code,digest",

@@ -39,6 +39,11 @@ P2 = projective(2)
 P1xP1 = projective(1, 1)
 
 
+def iso_key(space):
+    """Isomorphism-class key: the multiset of sorted factor tuples."""
+    return tuple(sorted(tuple(sorted(c)) for c in space.components))
+
+
 def monomial_class(space, comp_index, exp, coeff=1):
     polys = [GradedPoly.zero(c) for c in space.components]
     polys[comp_index] = GradedPoly(
@@ -81,9 +86,9 @@ class TestSpaces:
                 assert euler_char(disjoint_union(x, y)) == euler_char(x) + euler_char(y)
 
     def test_iso_key_ignores_order(self):
-        assert projective(2, 1).iso_key() == projective(1, 2).iso_key()
-        assert disjoint_union(P1, P2).iso_key() == disjoint_union(P2, P1).iso_key()
-        assert projective(2, 1).iso_key() != disjoint_union(P1, P2).iso_key()
+        assert iso_key(projective(2, 1)) == iso_key(projective(1, 2))
+        assert iso_key(disjoint_union(P1, P2)) == iso_key(disjoint_union(P2, P1))
+        assert iso_key(projective(2, 1)) != iso_key(disjoint_union(P1, P2))
 
 
 class TestParse:
@@ -186,7 +191,7 @@ class TestPushforwardPullback:
 
     def test_degree_drop_to_point(self):
         f = to_point(P1)
-        assert pushforward(f, HClass.unit(P1)).is_zero()
+        assert pushforward(f, HClass.unit(P1)) == HClass.zero(POINT)
         h = monomial_class(P1, 0, (1,))
         assert pushforward(f, h) == HClass.unit(POINT)
 
@@ -319,7 +324,7 @@ class TestBaseChange:
     def test_pullback_of_projection_along_itself(self):
         f = ToyMorphism(P1xP1, P1, ((0, (1,)),))
         square = fiber_square(f, identity_morphism(P1))
-        assert square.corner == P1xP1 or square.corner.iso_key() == P1xP1.iso_key()
+        assert square.corner == P1xP1 or iso_key(square.corner) == iso_key(P1xP1)
 
 
 class TestCapAndGrading:
@@ -345,7 +350,7 @@ class TestCross:
     def test_cross_with_zero(self):
         a = HClass.unit(P1)
         z = HClass.zero(P2)
-        assert cross(a, z).is_zero()
+        assert cross(a, z) == HClass.zero(product(P1, P2))
 
     def test_additivity_over_components(self):
         both = disjoint_union(P1, P2)
@@ -375,7 +380,7 @@ class TestTrustedResults:
         c_and_minus_c = HClass(doubled.source, c.polys + (-c).polys)
         pushed = pushforward(doubled, c_and_minus_c)
         assert_canonical_class(pushed)
-        assert pushed.is_zero()
+        assert pushed == HClass.zero(f.target)
 
     @settings(max_examples=100, deadline=None)
     @given(rings, projections(), projections(), st.data())
@@ -420,4 +425,4 @@ class TestInclusionsAndEnumeration:
 
     def test_empty_space_morphism(self):
         bang = ToyMorphism(EMPTY, P2, ())
-        assert pushforward(bang, HClass.zero(EMPTY)).is_zero()
+        assert pushforward(bang, HClass.zero(EMPTY)) == HClass.zero(P2)

@@ -43,7 +43,7 @@ class TestKClass:
         e = k_class(Triple(both, POINT, to_point(both)))
         single = k_class(Triple(P1, POINT, to_point(P1)))
         assert e == single.scale(2)
-        ((key, coeff),) = e.generators()
+        ((key, coeff),) = e.terms.items()
         assert coeff == 2
         assert key.dims == (1,)
 
@@ -51,7 +51,7 @@ class TestKClass:
         v = projective(1, 2)
         f = ToyMorphism(v, P2, ((0, (1,)),))
         e = k_class(Triple(v, P2, f))
-        assert len(list(e.generators())) == 1
+        assert len(list(e.terms.items())) == 1
 
     def test_sqcup_additivity(self):
         v1, v2 = projective(1, 1), P2
@@ -136,7 +136,7 @@ class TestClosedFormCanonicalClass:
         space = ToySpace((dims,))
         base = ToySpace((tuple(dims[s] for s in assignment),))
         e = k_class(Triple(space, base, ToyMorphism(space, base, ((0, assignment),))))
-        ((key, coeff),) = e.generators()
+        ((key, coeff),) = e.terms.items()
         assert coeff == 1
         assert key == canonical_class_by_permutations(dims, (0, assignment))
 
@@ -158,7 +158,7 @@ class TestGroupStructure:
             for v in [P1, P2, projective(1, 1), projective(2, 1)]
         ]
         combo = gens[0] + gens[1].scale(-2) + gens[3].scale(5)
-        items = dict(combo.generators())
+        items = dict(combo.terms.items())
         assert len(items) == 3
         assert set(items.values()) == {1, -2, 5}
 
@@ -177,7 +177,7 @@ class TestGroupStructure:
         combined = KElement.zero(POINT)
         for e, c in zip(elems, vec):
             combined = combined + e.scale(c)
-        coeffs = dict(combined.generators())
+        coeffs = dict(combined.terms.items())
         assert sorted(coeffs.values()) == sorted(vec)
         assert g.normalize_element(vec)[0] == vec
 
@@ -328,7 +328,7 @@ class TestJsonSerialization:
 class TestDistinguished:
     def test_point(self):
         e = distinguished(POINT)
-        ((key, coeff),) = e.generators()
+        ((key, coeff),) = e.terms.items()
         assert coeff == 1
         assert key == TripleClass((), 0, ())
 

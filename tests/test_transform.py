@@ -39,8 +39,11 @@ from tauclass.series import (
     ty_spec,
 )
 from tauclass.transform import (
+    CharacteristicClass,
     EulerCharacteristic,
     EulerValue,
+    FundamentalClass,
+    Indicator,
     _invariant_pool,
     _report,
     check_const_diagram,
@@ -48,13 +51,9 @@ from tauclass.transform import (
     check_naturality,
     check_verdier_rr,
     chi_y_genus,
-    class_invariant,
     connected_dims,
     corpus_spaces,
-    euler_invariant,
     eval_invariant,
-    fundamental_invariant,
-    indicator_invariant,
     random_element,
     random_morphism,
     render_value,
@@ -73,39 +72,39 @@ P2 = projective(2)
 class TestEvalInvariant:
     def test_chern_class_of_p2(self):
         # (1+h)^3 capped with the fundamental class: 1, 3h, 3h^2
-        value = eval_invariant(class_invariant(chern_spec(4)), P2)
+        value = eval_invariant(CharacteristicClass(chern_spec(4)), P2)
         assert value.polys[0] == GradedPoly(
             (2,), {(0,): 1, (1,): 3, (2,): 3}
         )
         assert value.integral() == 3  # matches the Euler characteristic
 
     def test_fundamental_on_empty(self):
-        value = eval_invariant(fundamental_invariant(), EMPTY)
-        assert value.is_zero()
+        value = eval_invariant(FundamentalClass(), EMPTY)
+        assert value == HClass.zero(EMPTY)
 
     def test_todd_class_of_p1(self):
         # td(TP1) = 1 + h: fundamental class plus one point
-        value = eval_invariant(class_invariant(todd_spec(3)), P1)
+        value = eval_invariant(CharacteristicClass(todd_spec(3)), P1)
         assert value.polys[0] == GradedPoly((1,), {(0,): 1, (1,): 1})
 
     def test_indicator(self):
-        assert eval_invariant(indicator_invariant(), P2) == ConstrFn.ones(P2)
+        assert eval_invariant(Indicator(), P2) == ConstrFn.ones(P2)
 
     def test_euler(self):
-        assert eval_invariant(euler_invariant(), disjoint_union(P1, P2)) == 5
+        assert eval_invariant(EulerCharacteristic(), disjoint_union(P1, P2)) == 5
 
 
 class TestTau:
     @pytest.mark.parametrize(
         "inv",
         [
-            fundamental_invariant(),
-            class_invariant(chern_spec(6)),
-            class_invariant(todd_spec(6)),
-            class_invariant(l_spec(6)),
-            class_invariant(ty_spec(6)),
-            indicator_invariant(),
-            euler_invariant(),
+            FundamentalClass(),
+            CharacteristicClass(chern_spec(6)),
+            CharacteristicClass(todd_spec(6)),
+            CharacteristicClass(l_spec(6)),
+            CharacteristicClass(ty_spec(6)),
+            Indicator(),
+            EulerCharacteristic(),
         ],
         ids=lambda inv: inv.name,
     )
@@ -121,17 +120,17 @@ class TestTau:
         # projection P1 x P1 -> P1 doubles the Chern class of the target
         pr = ToyMorphism(projective(1, 1), P1, ((0, (1,)),))
         e = k_class(Triple(projective(1, 1), P1, pr))
-        inv = class_invariant(chern_spec(4))
+        inv = CharacteristicClass(chern_spec(4))
         got = tau(inv, e)
         expect = eval_invariant(inv, P1).scale(2)
         assert got == expect
 
     def test_zero_element(self):
-        inv = class_invariant(chern_spec(3))
-        assert tau(inv, KElement.zero(P2)).is_zero()
+        inv = CharacteristicClass(chern_spec(3))
+        assert tau(inv, KElement.zero(P2)) == HClass.zero(P2)
 
     def test_linearity(self):
-        inv = class_invariant(todd_spec(5))
+        inv = CharacteristicClass(todd_spec(5))
         rng = random.Random(3)
         e1 = random_element(rng, P2)
         e2 = random_element(rng, P2)
@@ -142,7 +141,7 @@ class TestTau:
         along its own structure map, so tau is forced by normalization
         plus naturality; recompute it that way."""
         rng = random.Random(5)
-        inv = class_invariant(ty_spec(7))
+        inv = CharacteristicClass(ty_spec(7))
         for base in [P1, P2, projective(1, 1)]:
             e = random_element(rng, base)
             direct = tau(inv, e)
@@ -160,11 +159,11 @@ class TestAdditivity:
     @pytest.mark.parametrize(
         "inv",
         [
-            fundamental_invariant(),
-            class_invariant(chern_spec(6)),
-            class_invariant(ty_spec(6)),
-            indicator_invariant(),
-            euler_invariant(),
+            FundamentalClass(),
+            CharacteristicClass(chern_spec(6)),
+            CharacteristicClass(ty_spec(6)),
+            Indicator(),
+            EulerCharacteristic(),
         ],
         ids=lambda inv: inv.name,
     )
@@ -232,14 +231,14 @@ class TestNaturality:
     def test_identity_passes(self):
         e = distinguished(P2)
         report = check_naturality(
-            class_invariant(chern_spec(4)), identity_morphism(P2), e
+            CharacteristicClass(chern_spec(4)), identity_morphism(P2), e
         )
         assert report.passed
 
     def test_projection_with_ty(self):
         f = ToyMorphism(projective(1, 1), P1, ((0, (1,)),))
         report = check_naturality(
-            class_invariant(ty_spec(5)), f, distinguished(projective(1, 1))
+            CharacteristicClass(ty_spec(5)), f, distinguished(projective(1, 1))
         )
         assert report.passed
 
@@ -247,7 +246,7 @@ class TestNaturality:
         # perturb tau by comparing against a scaled pushforward
         f = to_point(P1)
         e = distinguished(P1)
-        inv = class_invariant(chern_spec(3))
+        inv = CharacteristicClass(chern_spec(3))
         left = tau(inv, pushforward_k(f, e))
         right = pushforward(f, tau(inv, e)).scale(2)  # deliberate fault
         assert left != right
@@ -263,9 +262,9 @@ class TestNaturality:
     @pytest.mark.parametrize("kind", ["fundamental", "indicator", "euler"])
     def test_other_value_kinds(self, kind):
         inv = {
-            "fundamental": fundamental_invariant(),
-            "indicator": indicator_invariant(),
-            "euler": euler_invariant(),
+            "fundamental": FundamentalClass(),
+            "indicator": Indicator(),
+            "euler": EulerCharacteristic(),
         }[kind]
         f = ToyMorphism(projective(2, 1), P1, ((0, (1,)),))
         rng = random.Random(9)
@@ -276,20 +275,20 @@ class TestNaturality:
 class TestMultiplicativity:
     def test_distinguished_chern(self):
         report = check_multiplicativity(
-            class_invariant(chern_spec(4)), distinguished(P1), distinguished(P1)
+            CharacteristicClass(chern_spec(4)), distinguished(P1), distinguished(P1)
         )
         assert report.passed
 
     def test_zero_factor(self):
         report = check_multiplicativity(
-            class_invariant(todd_spec(4)), distinguished(P1), KElement.zero(P2)
+            CharacteristicClass(todd_spec(4)), distinguished(P1), KElement.zero(P2)
         )
         assert report.passed
         assert report.left == "0"
 
     def test_ty_on_p1_x_p2(self):
         report = check_multiplicativity(
-            class_invariant(ty_spec(6)), distinguished(P1), distinguished(P2)
+            CharacteristicClass(ty_spec(6)), distinguished(P1), distinguished(P2)
         )
         assert report.passed
 
@@ -342,7 +341,7 @@ class TestConstDiagram:
         rng = random.Random(13)
         for space in [P1, P2, projective(1, 1), disjoint_union(P1, POINT)]:
             e = random_element(rng, space)
-            inv = class_invariant(chern_spec(6))
+            inv = CharacteristicClass(chern_spec(6))
             assert tau(inv, e).integral() == Fraction(
                 euler_integral(const_transform(e))
             )
@@ -381,7 +380,7 @@ class TestGenus:
 class TestVirtualAmbient:
     def test_empty_degree_list_gives_tangent_class(self):
         got = virtual_in_ambient(chern_spec(4), P2, [])
-        tangent_class = eval_invariant(class_invariant(chern_spec(4)), P2)
+        tangent_class = eval_invariant(CharacteristicClass(chern_spec(4)), P2)
         assert got == tangent_class
 
     def test_line_in_plane(self):
@@ -425,7 +424,7 @@ class TestTyFractionCoefficients:
     @given(seed=st.integers(0, 2**32 - 1))
     def test_fraction_coefficients_are_integers(self, seed):
         rng = random.Random(seed)
-        inv = class_invariant(self.spec)
+        inv = CharacteristicClass(self.spec)
         space = rng.choice(self.spaces)
         value = tau(inv, random_element(rng, space))
         f = random_morphism(rng, self.spaces)
@@ -451,17 +450,18 @@ class TestTyFractionCoefficients:
 class TestSpecializationLadder:
     def test_tau_ty_specializes(self):
         rng = random.Random(21)
-        inv_ty = class_invariant(ty_spec(7))
+        inv_ty = CharacteristicClass(ty_spec(7))
         ladders = [
-            (-1, class_invariant(chern_spec(7))),
-            (0, class_invariant(todd_spec(7))),
-            (1, class_invariant(l_spec(7))),
+            (-1, CharacteristicClass(chern_spec(7))),
+            (0, CharacteristicClass(todd_spec(7))),
+            (1, CharacteristicClass(l_spec(7))),
         ]
         for base in [P1, projective(1, 1), disjoint_union(P1, P2)]:
             e = random_element(rng, base)
             full = tau(inv_ty, e)
             for y_value, inv in ladders:
-                assert full.specialize_y(y_value) == tau(inv, e)
+                specialized = tuple(p.specialize_y(y_value) for p in full.polys)
+                assert HClass(base, specialized) == tau(inv, e)
 
 
 class TestCorpus:
