@@ -175,7 +175,9 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
     Returns ``SmithForm(u, s, v)`` with ``u @ a @ v == s``, ``s`` diagonal,
     all diagonal entries non-negative and each dividing the next.  The
     pivot is always the smallest nonzero entry (first in row-major order
-    on ties), so the output is reproducible for a given input.
+    on ties), so the output is reproducible for a given input.  One loop
+    reduces row and column ``t`` by the pivot at ``(t, t)`` and pivots
+    again at ``t`` while a remainder or an entry it does not divide is left.
     """
     m, n = a.rows, a.cols
     s = [list(r) for r in a.entries]
@@ -230,41 +232,19 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
         swap_cols(t, where[1])
         if s[t][t] < 0:
             negate_row(t)
-        while True:
-            p = s[t][t]
-            dirty = False
-            for i in range(t + 1, m):
-                q, r = divmod(s[i][t], p)
-                if r:
-                    add_row(i, t, -q)
-                    dirty = True
-            for j in range(t + 1, n):
-                q, r = divmod(s[t][j], p)
-                if r:
-                    add_col(j, t, -q)
-                    dirty = True
-            if dirty:
-                # a remainder strictly smaller than the pivot appeared
-                where = find_pivot(t)
-                swap_rows(t, where[0])
-                swap_cols(t, where[1])
-                if s[t][t] < 0:
-                    negate_row(t)
-                continue
-            for i in range(t + 1, m):
-                add_row(i, t, -(s[i][t] // p))
-            for j in range(t + 1, n):
-                add_col(j, t, -(s[t][j] // p))
-            bad = None
-            for i in range(t + 1, m):
-                if any(s[i][j] % p for j in range(t + 1, n)):
-                    bad = i
-                    break
-            if bad is None:
+        p = s[t][t]
+        for i in range(t + 1, m):
+            add_row(i, t, -(s[i][t] // p))
+        for j in range(t + 1, n):
+            add_col(j, t, -(s[t][j] // p))
+        if any(s[i][t] for i in range(t + 1, m)) or any(s[t][t + 1:]):
+            continue  # a remainder smaller than the pivot is left: pivot again
+        for i in range(t + 1, m):
+            if any(x % p for x in s[i][t + 1:]):
+                add_row(t, i, 1)  # drag a non-divisible entry into row t
                 break
-            # drag a non-divisible entry into the working row and retry
-            add_row(t, bad, 1)
-        t += 1
+        else:
+            t += 1
 
     return SmithForm(
         IntMatrix.from_rows(u, m),
@@ -370,12 +350,19 @@ def group_completion(monoid: FpMonoid) -> FpAbelianGroup:
     )
 
 
+# most generators, and most relations, a presentation file may have: a
+# seeded 64 x 64 presentation with exponents 0-3 completes in 0.7 s on a
+# 2-vCPU host, and 80 x 80 already takes 3.8 s (README)
+PRESENTATION_CAP = 64
+
+
 def parse_monoid_text(text: str) -> FpMonoid:
     """Parse a monoid presentation.
 
     Format: one line ``gens: n`` followed by zero or more lines
     ``rel: u1 ... un = v1 ... vn``.  Blank lines and ``#`` comments are
-    ignored.  Errors carry 1-based line numbers.
+    ignored.  Errors carry 1-based line numbers.  More than
+    ``PRESENTATION_CAP`` generators or relations is an error.
     """
     n = None
     relations = []
@@ -392,9 +379,18 @@ def parse_monoid_text(text: str) -> FpMonoid:
                 raise ValueError(f"line {lineno}: malformed generator count") from None
             if n < 0:
                 raise ValueError(f"line {lineno}: negative generator count")
+            if n > PRESENTATION_CAP:
+                raise ValueError(
+                    f"line {lineno}: {n} generators exceed the cap {PRESENTATION_CAP}"
+                )
         elif line.startswith("rel:"):
             if n is None:
                 raise ValueError(f"line {lineno}: 'rel:' before 'gens:'")
+            if len(relations) == PRESENTATION_CAP:
+                raise ValueError(
+                    f"line {lineno}: relation {PRESENTATION_CAP + 1} exceeds the cap "
+                    f"of {PRESENTATION_CAP} relations"
+                )
             body = line[len("rel:"):]
             sides = body.split("=")
             if len(sides) != 2:

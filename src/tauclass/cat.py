@@ -134,7 +134,8 @@ def verify_category(c: FinCategory) -> list[str]:
 
     Visits only composable pairs and triples, plus the pairs the table
     defines without being composable; messages come in the order of
-    (f, g) and (f, g, h) ascending.
+    (f, g) and (f, g, h) ascending.  A table entry that names no morphism
+    is reported once, in table order, and is never used as an index.
     """
     bad = []
     for x, e in enumerate(c.identity):
@@ -147,8 +148,10 @@ def verify_category(c: FinCategory) -> list[str]:
     m = c.n_morphisms
     get = c.composition.get
     stray = {}
-    for f, g in c.composition:
-        if 0 <= f < m and 0 <= g < m and target[f] != source[g]:
+    for (f, g), h in c.composition.items():
+        if not (0 <= f < m and 0 <= g < m and 0 <= h < m):
+            bad.append(f"composition entry ({f}, {g}) -> {h} names no morphism")
+        elif target[f] != source[g]:
             stray.setdefault(f, []).append(g)
     missing = object()
     for f in range(m):
@@ -161,7 +164,7 @@ def verify_category(c: FinCategory) -> list[str]:
                 bad.append(f"composite of non-composable {names[f]}, {names[g]}")
             elif h is missing:
                 bad.append(f"missing composite of {names[f]} then {names[g]}")
-            elif source[h] != source[f] or target[h] != target[g]:
+            elif 0 <= h < m and (source[h] != source[f] or target[h] != target[g]):
                 bad.append(f"composite {names[f]};{names[g]} has wrong endpoints")
     # identity laws, grouped by object as in a scan over (x, f)
     by_object = [[] for _ in range(c.n_objects)]
@@ -206,13 +209,17 @@ class FinFunctor:
 
 
 def verify_functor(fun: FinFunctor) -> list[str]:
-    """Exhaustive functor-law check; returns one message per violation."""
+    """Exhaustive functor-law check; returns one message per violation.
+
+    An index out of range is reported once and skips the checks that
+    would look it up."""
     bad = []
     dom, cod = fun.dom, fun.cod
+    m = dom.n_morphisms
     for x in range(dom.n_objects):
         if not 0 <= fun.object_map[x] < cod.n_objects:
             bad.append(f"object image of {dom.object_names[x]} out of range")
-    for f in range(dom.n_morphisms):
+    for f in range(m):
         ff = fun.morphism_map[f]
         if not 0 <= ff < cod.n_morphisms:
             bad.append(f"morphism image of {dom.morphism_names[f]} out of range")
@@ -221,10 +228,16 @@ def verify_functor(fun: FinFunctor) -> list[str]:
             bad.append(f"source not preserved at {dom.morphism_names[f]}")
         if cod.target[ff] != fun.object_map[dom.target[f]]:
             bad.append(f"target not preserved at {dom.morphism_names[f]}")
-    for x in range(dom.n_objects):
-        if fun.morphism_map[dom.identity[x]] != cod.identity[fun.object_map[x]]:
+    for x, e in enumerate(dom.identity):
+        y = fun.object_map[x]
+        if not 0 <= e < m:
+            bad.append(f"domain identity of {dom.object_names[x]} out of range")
+        elif 0 <= y < cod.n_objects and fun.morphism_map[e] != cod.identity[y]:
             bad.append(f"identity of {dom.object_names[x]} not preserved")
     for (f, g), h in dom.composition.items():
+        if not (0 <= f < m and 0 <= g < m and 0 <= h < m):
+            bad.append(f"domain composition entry ({f}, {g}) -> {h} names no morphism")
+            continue
         img = cod.composition.get((fun.morphism_map[f], fun.morphism_map[g]))
         if img != fun.morphism_map[h]:
             bad.append(
@@ -285,70 +298,59 @@ def build_comma(cospan: Cospan,
             f"comma category has {len(triples)} objects, cap is {max_objects}"
         )
 
-    def square_commutes(h1, h2, gs, gt):
-        # h2 . S(gs) == T(gt) . h1
-        return base.compose(s.morphism_map[gs], h2) == base.compose(
-            h1, t.morphism_map[gt]
-        )
-
-    pairs = []
-    pair_source = []
-    pair_target = []
+    # arrow (i, j, gs, gt) from triple i to triple j when h2 . S(gs) == T(gt) . h1
+    arrows = []
+    leaving = [[] for _ in triples]
     for i, (v1, x1, h1) in enumerate(triples):
         for j, (v2, x2, h2) in enumerate(triples):
             for gs in cs.hom(v1, v2):
                 for gt in ct.hom(x1, x2):
-                    if square_commutes(h1, h2, gs, gt):
-                        pairs.append((gs, gt))
-                        pair_source.append(i)
-                        pair_target.append(j)
-    if len(pairs) > max_morphisms:
+                    if base.compose(s.morphism_map[gs], h2) == base.compose(
+                        h1, t.morphism_map[gt]
+                    ):
+                        leaving[i].append(len(arrows))
+                        arrows.append((i, j, gs, gt))
+    if len(arrows) > max_morphisms:
         raise CapacityError(
-            f"comma category has {len(pairs)} morphisms, cap is {max_morphisms}"
+            f"comma category has {len(arrows)} morphisms, cap is {max_morphisms}"
         )
 
-    index = {}
-    for k, (gs, gt) in enumerate(pairs):
-        index[(pair_source[k], pair_target[k], gs, gt)] = k
-
-    leaving = [[] for _ in triples]
-    for k, i in enumerate(pair_source):
-        leaving[i].append(k)
+    index = {arrow: k for k, arrow in enumerate(arrows)}
     composition = {}
-    for k1, (gs1, gt1) in enumerate(pairs):
-        i = pair_source[k1]
-        for k2 in leaving[pair_target[k1]]:
-            gs2, gt2 = pairs[k2]
+    for k1, (i, j, gs1, gt1) in enumerate(arrows):
+        for k2 in leaving[j]:
+            _, j2, gs2, gt2 = arrows[k2]
             composition[(k1, k2)] = index[
-                (i, pair_target[k2], cs.compose(gs1, gs2), ct.compose(gt1, gt2))
+                (i, j2, cs.compose(gs1, gs2), ct.compose(gt1, gt2))
             ]
 
-    identity = []
-    for i, (v, x, h) in enumerate(triples):
-        identity.append(index[(i, i, cs.identity[v], ct.identity[x])])
-
+    identity = [
+        index[(i, i, cs.identity[v], ct.identity[x])]
+        for i, (v, x, _) in enumerate(triples)
+    ]
     object_names = [
         f"({cs.object_names[v]},{ct.object_names[x]},{base.morphism_names[h]})"
         for v, x, h in triples
     ]
-    morphism_names = [
-        f"({cs.morphism_names[gs]},{ct.morphism_names[gt]})" for gs, gt in pairs
-    ]
     cat = FinCategory(
         object_names,
-        [(morphism_names[k], pair_source[k], pair_target[k]) for k in range(len(pairs))],
+        [
+            (f"({cs.morphism_names[gs]},{ct.morphism_names[gt]})", i, j)
+            for i, j, gs, gt in arrows
+        ],
         identity,
         composition,
         max_objects=max_objects,
         max_morphisms=max_morphisms,
     )
+    pairs = tuple((gs, gt) for _, _, gs, gt in arrows)
     pi_s = FinFunctor(
         cat, cs, [v for v, _, _ in triples], [gs for gs, _ in pairs], name="pi_s"
     )
     pi_t = FinFunctor(
         cat, ct, [x for _, x, _ in triples], [gt for _, gt in pairs], name="pi_t"
     )
-    return CommaCat(cospan, cat, tuple(triples), tuple(pairs), pi_s, pi_t)
+    return CommaCat(cospan, cat, tuple(triples), pairs, pi_s, pi_t)
 
 
 @dataclass
@@ -395,37 +397,28 @@ def induced_fiber_functor(comma: CommaCat, f: int) -> FinFunctor:
     source leg.
     """
     ct = comma.cospan.target_cat
-    base = comma.cospan.base_cat
-    t = comma.cospan.t
     x1, x2 = ct.source[f], ct.target[f]
     fib1 = fiber_category(comma.pi_t, x1)
     fib2 = fiber_category(comma.pi_t, x2)
-    tf = t.morphism_map[f]
+    tf = comma.cospan.t.morphism_map[f]
+    object_of = {comma.triples[obj]: k for k, obj in enumerate(fib2.object_ids)}
+    # every morphism over x2 is (gs, id_x2): its endpoints and gs name it
+    morphism_of = {
+        (fib2.cat.source[k], fib2.cat.target[k], comma.pairs[mor][0]): k
+        for k, mor in enumerate(fib2.morphism_ids)
+    }
 
     object_map = []
     for obj in fib1.object_ids:
         v, _, h = comma.triples[obj]
-        moved = (v, x2, base.compose(h, tf))
-        object_map.append(fib2.object_ids.index(comma.triples.index(moved)))
+        object_map.append(object_of[(v, x2, comma.cospan.base_cat.compose(h, tf))])
     morphism_map = []
     for k1, mor in enumerate(fib1.morphism_ids):
-        gs, _ = comma.pairs[mor]
-        src = object_map[fib1.cat.source[k1]]
-        tgt = object_map[fib1.cat.target[k1]]
-        # locate the pair (gs, id_{x2}) between the moved triples
-        found = None
-        for k in range(fib2.cat.n_morphisms):
-            orig = fib2.morphism_ids[k]
-            if (
-                comma.pairs[orig] == (gs, ct.identity[x2])
-                and fib2.cat.source[k] == src
-                and fib2.cat.target[k] == tgt
-            ):
-                found = k
-                break
-        if found is None:
+        src, tgt = object_map[fib1.cat.source[k1]], object_map[fib1.cat.target[k1]]
+        k = morphism_of.get((src, tgt, comma.pairs[mor][0]))
+        if k is None:
             raise RuntimeError("induced image of a fiber morphism is missing")
-        morphism_map.append(found)
+        morphism_map.append(k)
     return FinFunctor(
         fib1.cat,
         fib2.cat,

@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import permutations
 from itertools import product as iproduct
 
-from tauclass.abelian import FpMonoid, IntMatrix
+from tauclass.abelian import FpMonoid, IntMatrix, SmithForm
 from tauclass.cat import (
     DEFAULT_MAX_MORPHISMS,
     DEFAULT_MAX_OBJECTS,
@@ -157,6 +157,123 @@ def det(a: IntMatrix) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+def smith_normal_form_two_pass(a: IntMatrix) -> SmithForm:
+    """Oracle for ``abelian.smith_normal_form``: the two-pass elimination
+    it replaced, which reduces remainders first and then runs a separate
+    exact-elimination pass.
+
+    Returns ``SmithForm(u, s, v)`` with ``u @ a @ v == s``, ``s`` diagonal,
+    all diagonal entries non-negative and each dividing the next.  The
+    pivot is always the smallest nonzero entry (first in row-major order
+    on ties), so the output is reproducible for a given input.
+    """
+    m, n = a.rows, a.cols
+    s = [list(r) for r in a.entries]
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    v = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def swap_rows(i, j):
+        if i != j:
+            s[i], s[j] = s[j], s[i]
+            u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        if i != j:
+            for r in s:
+                r[i], r[j] = r[j], r[i]
+            for r in v:
+                r[i], r[j] = r[j], r[i]
+
+    def add_row(dst, src, q):
+        # row dst += q * row src
+        if q:
+            s[dst] = [x + q * y for x, y in zip(s[dst], s[src])]
+            u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
+
+    def add_col(dst, src, q):
+        if q:
+            for r in s:
+                r[dst] += q * r[src]
+            for r in v:
+                r[dst] += q * r[src]
+
+    def negate_row(i):
+        s[i] = [-x for x in s[i]]
+        u[i] = [-x for x in u[i]]
+
+    def find_pivot(t):
+        best = None
+        where = None
+        for i in range(t, m):
+            for j in range(t, n):
+                x = abs(s[i][j])
+                if x and (best is None or x < best):
+                    best, where = x, (i, j)
+        return where
+
+    t = 0
+    while t < min(m, n):
+        where = find_pivot(t)
+        if where is None:
+            break
+        swap_rows(t, where[0])
+        swap_cols(t, where[1])
+        if s[t][t] < 0:
+            negate_row(t)
+        while True:
+            p = s[t][t]
+            dirty = False
+            for i in range(t + 1, m):
+                q, r = divmod(s[i][t], p)
+                if r:
+                    add_row(i, t, -q)
+                    dirty = True
+            for j in range(t + 1, n):
+                q, r = divmod(s[t][j], p)
+                if r:
+                    add_col(j, t, -q)
+                    dirty = True
+            if dirty:
+                # a remainder strictly smaller than the pivot appeared
+                where = find_pivot(t)
+                swap_rows(t, where[0])
+                swap_cols(t, where[1])
+                if s[t][t] < 0:
+                    negate_row(t)
+                continue
+            for i in range(t + 1, m):
+                add_row(i, t, -(s[i][t] // p))
+            for j in range(t + 1, n):
+                add_col(j, t, -(s[t][j] // p))
+            bad = None
+            for i in range(t + 1, m):
+                if any(s[i][j] % p for j in range(t + 1, n)):
+                    bad = i
+                    break
+            if bad is None:
+                break
+            # drag a non-divisible entry into the working row and retry
+            add_row(t, bad, 1)
+        t += 1
+
+    return SmithForm(
+        IntMatrix.from_rows(u, m),
+        IntMatrix.from_rows(s, n),
+        IntMatrix.from_rows(v, n),
+    )
+
+
+def completion_by_two_pass(monoid: FpMonoid) -> tuple[int, tuple[int, ...]]:
+    """(rank, torsion) of the group completion, read off the two-pass
+    Smith form of the relation matrix (one column u - v per relation)."""
+    n = monoid.n_generators
+    cols = [tuple(a - b for a, b in zip(u, v)) for u, v in monoid.relations]
+    rel = IntMatrix.from_rows([[col[i] for col in cols] for i in range(n)], len(cols))
+    diag = list(smith_normal_form_two_pass(rel).s.diagonal())
+    diag += [0] * (n - len(diag))
+    return diag.count(0), tuple(d for d in diag if d >= 2)
 
 
 def is_diagonal(a: IntMatrix) -> bool:
@@ -357,16 +474,20 @@ def verify_category_exhaustive(c: FinCategory) -> list[str]:
             continue
         if c.source[e] != x or c.target[e] != x:
             bad.append(f"identity of {c.object_names[x]} is not an endomorphism")
-    names = c.morphism_names
+    names, m = c.morphism_names, c.n_morphisms
+    for (f, g), h in c.composition.items():
+        if not all(0 <= k < m for k in (f, g, h)):
+            bad.append(f"composition entry ({f}, {g}) -> {h} names no morphism")
     for f in range(c.n_morphisms):
         for g in range(c.n_morphisms):
             composable = c.target[f] == c.source[g]
             defined = (f, g) in c.composition
+            named = defined and 0 <= c.composition[(f, g)] < m
             if composable and not defined:
                 bad.append(f"missing composite of {names[f]} then {names[g]}")
-            if defined and not composable:
+            if named and not composable:
                 bad.append(f"composite of non-composable {names[f]}, {names[g]}")
-            if composable and defined:
+            if composable and named:
                 h = c.composition[(f, g)]
                 if c.source[h] != c.source[f] or c.target[h] != c.target[g]:
                     bad.append(f"composite {names[f]};{names[g]} has wrong endpoints")

@@ -11,7 +11,15 @@ from tauclass.abelian import (
     smith_normal_form,
 )
 
-from oracles import BoundedMonoidCongruence, all_unimodular, det, is_diagonal
+from bench_source import load_perfbench
+from oracles import (
+    BoundedMonoidCongruence,
+    all_unimodular,
+    completion_by_two_pass,
+    det,
+    is_diagonal,
+    smith_normal_form_two_pass,
+)
 
 
 def check_smith_invariants(a):
@@ -28,6 +36,19 @@ def check_smith_invariants(a):
         else:
             assert y == 0
     return snf
+
+
+@st.composite
+def int_matrices(draw):
+    """Up to 7 x 7, entries in [-1000, 1000] with many zeros, some rows
+    repeated or zeroed."""
+    rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    entry = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-1000, 1000))
+    m = [draw(st.lists(entry, min_size=cols, max_size=cols)) for _ in range(rows)]
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, rows - 1))
+        m[i] = list(m[j]) if draw(st.booleans()) else [0] * cols
+    return IntMatrix.from_rows(m, cols)
 
 
 class TestSmithNormalForm:
@@ -88,6 +109,20 @@ class TestSmithNormalForm:
     )
     def test_random_matrices(self, rows):
         check_smith_invariants(IntMatrix.from_rows(rows))
+
+    @settings(max_examples=300, deadline=None)
+    @given(int_matrices())
+    def test_same_diagonal_as_two_pass_oracle(self, a):
+        snf = check_smith_invariants(a)
+        assert snf.s == smith_normal_form_two_pass(a).s
+
+    def test_benchmark_presentations_match_oracle(self):
+        # the 32 presentations of the benchmark's ``structures`` pool
+        workloads = load_perfbench("workloads")
+        for i in range(workloads.STRUCTURE_POOL):
+            monoid = parse_monoid_text(workloads.presentation_request(i).input_text)
+            g = group_completion(monoid)
+            assert (g.rank, g.torsion) == completion_by_two_pass(monoid), i
 
 
 FREE_2 = FpMonoid(2)

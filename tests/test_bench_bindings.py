@@ -4,26 +4,13 @@
 after a refactor of ``src/``."""
 
 import importlib
-import types
-from pathlib import Path
 
 import pytest
 
 import tauclass.cli  # noqa: F401  (loads every module the spans name)
+from bench_source import load_perfbench
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-
-
-def _load_spans():
-    # executed from its source text, so no bytecode is written next to it
-    module = types.ModuleType("perfbench_spans")
-    module.__file__ = str(SPANS_PATH)
-    exec(compile(SPANS_PATH.read_text(encoding="utf-8"), str(SPANS_PATH), "exec"),
-         module.__dict__)
-    return module
-
-
-spans = _load_spans()
+spans = load_perfbench("spans")
 
 
 @pytest.mark.parametrize("entry", spans.SPANNED, ids=lambda e: f"{e[0]}.{e[1]}")
@@ -55,3 +42,53 @@ def test_eval_invariant_cache_info_resolves():
     from tauclass import transform
 
     assert callable(getattr(transform.eval_invariant, "cache_info", None))
+
+
+@pytest.fixture(scope="module")
+def hook_calls():
+    """One real call per hooked span: metric -> (arguments, result)."""
+    from tauclass.abelian import IntMatrix, smith_normal_form
+    from tauclass.geom import (
+        cross,
+        identity_morphism,
+        parse_space,
+        pullback,
+        pushforward,
+        tangent_chern,
+        to_point,
+    )
+    from tauclass.relk import Triple, k_class
+    from tauclass.series import chern_spec, multiplicative_class
+    from tauclass.transform import CharacteristicClass
+
+    x = parse_space("P2 x P1")
+    c = CharacteristicClass(chern_spec(3)).evaluate(x)
+    point = to_point(x)
+    pushed = pushforward(point, c)
+    bundle = tangent_chern(x)
+    mc = (chern_spec(3), bundle.polys[0], bundle.ranks[0])
+    snf = (IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, -4, -16]]),)
+    triple = (Triple(x, x, identity_morphism(x)),)
+    return {
+        "series.multiplicative_class": (mc, multiplicative_class(*mc)),
+        "geom.pushforward": ((point, c), pushed),
+        "geom.pullback": ((point, pushed), pullback(point, pushed)),
+        "geom.cross": ((c, c), cross(c, c)),
+        "geom.hclass_mul": ((c, c), c * c),
+        "relk.k_class": (triple, k_class(*triple)),
+        "abelian.smith_normal_form": (snf, smith_normal_form(*snf)),
+    }
+
+
+@pytest.mark.parametrize("metric", sorted(spans.HOOKS))
+def test_hook_reads_a_real_call(metric, hook_calls):
+    # a hook that no longer finds what it reads fails here, not only
+    # under ``perfbench/run.py --trace 1``
+    args, result = hook_calls[metric]
+    before, after = spans.HOOKS[metric]
+    tracer = spans.Tracer()
+    if before is not None:
+        before(tracer, args)
+    if after is not None:
+        after(tracer, result)
+    assert tracer.counters != spans.Tracer().counters

@@ -103,6 +103,44 @@ class TestVerify:
     def test_valid_functor(self):
         assert verify_functor(identity_functor(walking_arrow())) == []
 
+    def test_composite_out_of_range_reported(self):
+        c = discrete_category(["p", "q"])
+        c.composition[(1, 1)] = 9
+        assert verify_category(c) == [
+            "composition entry (1, 1) -> 9 names no morphism",
+            "left identity fails at id_q",
+            "right identity fails at id_q",
+        ]
+
+    def test_entry_naming_no_morphism_reported(self):
+        c = discrete_category(["p", "q"])
+        c.composition[(0, 5)] = 0
+        assert verify_category(c) == ["composition entry (0, 5) -> 0 names no morphism"]
+
+    def test_functor_object_image_out_of_range_reported(self):
+        fun = FinFunctor(
+            discrete_category(["p", "q"]), discrete_category(["r"]), [0, 5], [0, 0]
+        )
+        assert verify_functor(fun) == [
+            "object image of q out of range",
+            "source not preserved at id_q",
+            "target not preserved at id_q",
+        ]
+
+    def test_functor_domain_identity_out_of_range_reported(self):
+        dom = discrete_category(["p", "q"])
+        dom.identity = (0, 7)
+        fun = FinFunctor(dom, discrete_category(["r"]), [0, 0], [0, 0])
+        assert verify_functor(fun) == ["domain identity of q out of range"]
+
+    def test_functor_domain_entry_naming_no_morphism_reported(self):
+        dom = discrete_category(["p", "q"])
+        dom.composition[(1, 4)] = 1
+        fun = FinFunctor(dom, discrete_category(["r"]), [0, 0], [0, 0])
+        assert verify_functor(fun) == [
+            "domain composition entry (1, 4) -> 1 names no morphism"
+        ]
+
     def test_capacity_cap(self):
         with pytest.raises(CapacityError):
             discrete_category([f"x{i}" for i in range(100)])
@@ -153,7 +191,7 @@ def poset_category(draw, less, prefix):
                        identity, composition)
 
 
-CORRUPTIONS = ("delete", "stray", "rewrite", "identity", "endpoints")
+CORRUPTIONS = ("delete", "stray", "rewrite", "identity", "endpoints", "range")
 
 
 @st.composite
@@ -192,6 +230,16 @@ def corrupted_poset_categories(draw):
             ]
             if pairs:
                 c.composition[draw(st.sampled_from(pairs))] = draw(st.integers(0, m - 1))
+        elif kind == "range":
+            # an entry naming no morphism: as the composite, or in the key
+            f = draw(st.integers(0, m - 1))
+            if keys and draw(st.booleans()):
+                c.composition[draw(st.sampled_from(keys))] = draw(
+                    st.sampled_from([-1, m, m + 3])
+                )
+            else:
+                key = draw(st.sampled_from([(f, m), (m, f), (-1, f)]))
+                c.composition[key] = draw(st.integers(0, m - 1))
     return c
 
 

@@ -1,9 +1,12 @@
 import hashlib
 import json
+import random
+import time
 
 import jsonschema
 import pytest
 
+from tauclass.abelian import PRESENTATION_CAP
 from tauclass.cli import main, schema_path
 from tauclass.transform import SUITE_NAMES
 
@@ -323,6 +326,61 @@ class TestCompleteCommand:
         path.write_text("gens: 2\nrel: 1 = 1\n")
         code, _ = run_cli(capsys, "complete", str(path))
         assert code == 2
+
+    @pytest.mark.parametrize("gens,rels", [(PRESENTATION_CAP, 0), (1, PRESENTATION_CAP)])
+    def test_at_cap_completes(self, capsys, tmp_path, gens, rels):
+        path = tmp_path / "monoid.txt"
+        path.write_text(f"gens: {gens}\n" + "rel: 1 = 0\n" * rels)
+        code, payload, _ = run_json(capsys, "complete", str(path))
+        assert code == 0
+        assert (payload["generators"], payload["relations"]) == (gens, rels)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            (
+                f"gens: {PRESENTATION_CAP + 1}\n",
+                f"line 1: {PRESENTATION_CAP + 1} generators exceed the cap "
+                f"{PRESENTATION_CAP}",
+            ),
+            (
+                "gens: 1\n" + "rel: 1 = 0\n" * (PRESENTATION_CAP + 1),
+                f"line {PRESENTATION_CAP + 2}: relation {PRESENTATION_CAP + 1} "
+                f"exceeds the cap of {PRESENTATION_CAP} relations",
+            ),
+        ],
+        ids=["generators", "relations"],
+    )
+    def test_over_cap_is_usage_error(self, capsys, tmp_path, text, message):
+        path = tmp_path / "monoid.txt"
+        path.write_text(text)
+        code = main(["complete", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_seeded_36_by_36_within_budget(self, capsys, tmp_path):
+        # entries grew to thousands of bits under the two-pass Smith form,
+        # which took 89 s here
+        rng = random.Random("monoid-big:36")
+        lines = ["gens: 36"]
+        for _ in range(36):
+            u = " ".join(str(rng.randint(0, 3)) for _ in range(36))
+            v = " ".join(str(rng.randint(0, 3)) for _ in range(36))
+            lines.append(f"rel: {u} = {v}")
+        text = "\n".join(lines) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "b88fad5aefa7b13a5e5ae60f44ba242a2fc8ba817d2e3b75d0264e53b603b623"
+        )
+        path = tmp_path / "monoid.txt"
+        path.write_text(text)
+        start = time.perf_counter()
+        code, payload, _ = run_json(capsys, "complete", str(path))
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert payload["group"] == "Z/9985079346794024311208603604"
+        assert elapsed < 5.0
 
 
 class TestDeterminism:
