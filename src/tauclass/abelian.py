@@ -133,10 +133,6 @@ class IntMatrix:
             cols = len(rows[0]) if rows else 0
         return cls(len(rows), cols, tuple(rows))
 
-    def __getitem__(self, idx):
-        i, j = idx
-        return self.entries[i][j]
-
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")

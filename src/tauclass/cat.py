@@ -3,7 +3,8 @@
 Everything here is small enough to check exhaustively: category and
 functor laws, comma categories over a cospan, fiber categories of a
 functor, and the functors between fibers that morphisms of the target
-category induce.  A hard capacity cap keeps accidental blow-ups loud.
+category induce.  Hard caps of 64 objects and 512 morphisms keep
+accidental blow-ups loud.
 
 The infinite geometric categories elsewhere in this package do not pass
 through this module; it exists to validate the categorical constructions
@@ -13,7 +14,6 @@ where every law can be enumerated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 __all__ = [
     "CapacityError",
@@ -25,11 +25,8 @@ __all__ = [
     "build_comma",
     "fiber_category",
     "induced_fiber_functor",
-    "s_over_category",
     "verify_category",
     "verify_functor",
-    "categories_isomorphic",
-    "discrete_category",
     "parse_cospan_text",
 ]
 
@@ -38,7 +35,7 @@ DEFAULT_MAX_MORPHISMS = 512
 
 
 class CapacityError(ValueError):
-    """Construction would exceed the configured object/morphism caps."""
+    """Construction would exceed the object/morphism caps."""
 
 
 class FinCategory:
@@ -50,9 +47,7 @@ class FinCategory:
     run ``verify_category`` to get a violation report.
     """
 
-    def __init__(self, object_names, morphisms, identity, composition,
-                 max_objects=DEFAULT_MAX_OBJECTS,
-                 max_morphisms=DEFAULT_MAX_MORPHISMS):
+    def __init__(self, object_names, morphisms, identity, composition):
         # morphisms: sequence of (name, source index, target index)
         self.object_names = tuple(object_names)
         self.morphism_names = tuple(m[0] for m in morphisms)
@@ -60,13 +55,13 @@ class FinCategory:
         self.target = tuple(m[2] for m in morphisms)
         self.identity = tuple(identity)
         self.composition = dict(composition)
-        if len(self.object_names) > max_objects:
+        if len(self.object_names) > DEFAULT_MAX_OBJECTS:
             raise CapacityError(
-                f"{len(self.object_names)} objects exceed the cap {max_objects}"
+                f"{len(self.object_names)} objects exceed the cap {DEFAULT_MAX_OBJECTS}"
             )
-        if len(self.morphism_names) > max_morphisms:
+        if len(self.morphism_names) > DEFAULT_MAX_MORPHISMS:
             raise CapacityError(
-                f"{len(self.morphism_names)} morphisms exceed the cap {max_morphisms}"
+                f"{len(self.morphism_names)} morphisms exceed the cap {DEFAULT_MAX_MORPHISMS}"
             )
         if len(self.identity) != len(self.object_names):
             raise ValueError("one identity morphism per object required")
@@ -98,9 +93,6 @@ class FinCategory:
         """g after f; KeyError when the pair is not in the table."""
         return self.composition[(f, g)]
 
-    def is_identity(self, f: int) -> bool:
-        return f in self.identity
-
     def __eq__(self, other):
         if not isinstance(other, FinCategory):
             return NotImplemented
@@ -119,14 +111,6 @@ class FinCategory:
         return (
             f"FinCategory({self.n_objects} objects, {self.n_morphisms} morphisms)"
         )
-
-
-def discrete_category(names) -> FinCategory:
-    """Only identity morphisms."""
-    names = tuple(names)
-    morphisms = [(f"id_{x}", i, i) for i, x in enumerate(names)]
-    composition = {(i, i): i for i in range(len(names))}
-    return FinCategory(names, morphisms, range(len(names)), composition)
 
 
 def verify_category(c: FinCategory) -> list[str]:
@@ -281,9 +265,7 @@ class CommaCat:
     pi_t: FinFunctor
 
 
-def build_comma(cospan: Cospan,
-                max_objects=DEFAULT_MAX_OBJECTS,
-                max_morphisms=DEFAULT_MAX_MORPHISMS) -> CommaCat:
+def build_comma(cospan: Cospan) -> CommaCat:
     """Enumerate the comma category of a cospan of finite categories."""
     cs, base, ct = cospan.source_cat, cospan.base_cat, cospan.target_cat
     s, t = cospan.s, cospan.t
@@ -293,9 +275,9 @@ def build_comma(cospan: Cospan,
         for x in range(ct.n_objects):
             for h in base.hom(s.object_map[v], t.object_map[x]):
                 triples.append((v, x, h))
-    if len(triples) > max_objects:
+    if len(triples) > DEFAULT_MAX_OBJECTS:
         raise CapacityError(
-            f"comma category has {len(triples)} objects, cap is {max_objects}"
+            f"comma category has {len(triples)} objects, cap is {DEFAULT_MAX_OBJECTS}"
         )
 
     # arrow (i, j, gs, gt) from triple i to triple j when h2 . S(gs) == T(gt) . h1
@@ -310,9 +292,9 @@ def build_comma(cospan: Cospan,
                     ):
                         leaving[i].append(len(arrows))
                         arrows.append((i, j, gs, gt))
-    if len(arrows) > max_morphisms:
+    if len(arrows) > DEFAULT_MAX_MORPHISMS:
         raise CapacityError(
-            f"comma category has {len(arrows)} morphisms, cap is {max_morphisms}"
+            f"comma category has {len(arrows)} morphisms, cap is {DEFAULT_MAX_MORPHISMS}"
         )
 
     index = {arrow: k for k, arrow in enumerate(arrows)}
@@ -340,8 +322,6 @@ def build_comma(cospan: Cospan,
         ],
         identity,
         composition,
-        max_objects=max_objects,
-        max_morphisms=max_morphisms,
     )
     pairs = tuple((gs, gt) for _, _, gs, gt in arrows)
     pi_s = FinFunctor(
@@ -426,130 +406,6 @@ def induced_fiber_functor(comma: CommaCat, f: int) -> FinFunctor:
         morphism_map,
         name=f"induced[{ct.morphism_names[f]}]",
     )
-
-
-def s_over_category(cospan: Cospan, x: int) -> FinCategory:
-    """Direct construction of the category of source objects over T(x).
-
-    Objects are pairs (v, h: S(v) -> T(x)); a morphism g_s must satisfy
-    h2 . S(g_s) = h1.  Built independently of the comma category so the
-    two can be compared.
-    """
-    cs, base = cospan.source_cat, cospan.base_cat
-    s, t = cospan.s, cospan.t
-    tx = t.object_map[x]
-    objects = []
-    for v in range(cs.n_objects):
-        for h in base.hom(s.object_map[v], tx):
-            objects.append((v, h))
-    morphisms = []
-    leaving = [[] for _ in objects]
-    for i, (v1, h1) in enumerate(objects):
-        for j, (v2, h2) in enumerate(objects):
-            for gs in cs.hom(v1, v2):
-                if base.compose(s.morphism_map[gs], h2) == h1:
-                    leaving[i].append(len(morphisms))
-                    morphisms.append((gs, i, j))
-    index = {m: k for k, m in enumerate(morphisms)}
-    composition = {}
-    for k1, (g1, i1, j1) in enumerate(morphisms):
-        for k2 in leaving[j1]:
-            g2, _, j2 = morphisms[k2]
-            composition[(k1, k2)] = index[(cs.compose(g1, g2), i1, j2)]
-    identity = [
-        index[(cs.identity[v], i, i)] for i, (v, h) in enumerate(objects)
-    ]
-    return FinCategory(
-        [f"({cs.object_names[v]},{base.morphism_names[h]})" for v, h in objects],
-        [
-            (f"{cs.morphism_names[g]}@{i}->{j}", i, j)
-            for g, i, j in morphisms
-        ],
-        identity,
-        composition,
-    )
-
-
-def _object_profile(c: FinCategory, x: int):
-    outs = sorted(len(c.hom(x, y)) for y in range(c.n_objects))
-    ins = sorted(len(c.hom(y, x)) for y in range(c.n_objects))
-    return (len(c.hom(x, x)), tuple(outs), tuple(ins))
-
-
-def categories_isomorphic(c1: FinCategory, c2: FinCategory) -> bool:
-    """Isomorphism test: structure-preserving bijections on objects and
-    morphisms.  Profiles prune the object search; morphisms are matched
-    hom-set by hom-set with a final composition check.
-    """
-    if c1.n_objects != c2.n_objects or c1.n_morphisms != c2.n_morphisms:
-        return False
-    p1 = [_object_profile(c1, x) for x in range(c1.n_objects)]
-    p2 = [_object_profile(c2, x) for x in range(c2.n_objects)]
-    if sorted(p1) != sorted(p2):
-        return False
-
-    n = c1.n_objects
-
-    def extend(mapping):
-        if len(mapping) == n:
-            return _match_morphisms(c1, c2, mapping)
-        x = len(mapping)
-        used = set(mapping)
-        for y in range(n):
-            if y in used or p1[x] != p2[y]:
-                continue
-            if all(
-                len(c1.hom(a, x)) == len(c2.hom(mapping[a], y))
-                and len(c1.hom(x, a)) == len(c2.hom(y, mapping[a]))
-                for a in range(x)
-            ):
-                if extend(mapping + [y]):
-                    return True
-        return False
-
-    return extend([])
-
-
-def _match_morphisms(c1, c2, obj_map):
-    blocks = []
-    for a in range(c1.n_objects):
-        for b in range(c1.n_objects):
-            h1 = c1.hom(a, b)
-            h2 = c2.hom(obj_map[a], obj_map[b])
-            if len(h1) != len(h2):
-                return False
-            if h1:
-                blocks.append((h1, h2))
-
-    assignment = {}
-
-    def fill(idx):
-        if idx == len(blocks):
-            return check()
-        h1, h2 = blocks[idx]
-        for perm in permutations(h2):
-            ok = True
-            for f, g in zip(h1, perm):
-                if c1.is_identity(f) != c2.is_identity(g):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            for f, g in zip(h1, perm):
-                assignment[f] = g
-            if fill(idx + 1):
-                return True
-            for f in h1:
-                del assignment[f]
-        return False
-
-    def check():
-        for (f, g), h in c1.composition.items():
-            if c2.composition.get((assignment[f], assignment[g])) != assignment[h]:
-                return False
-        return True
-
-    return fill(0)
 
 
 # --- cospan text format ----------------------------------------------------

@@ -31,7 +31,6 @@ __all__ = [
     "ty_spec",
     "multiplicative_class",
     "virtual_class",
-    "spec_to_text",
     "spec_from_text",
 ]
 
@@ -622,22 +621,6 @@ def virtual_class(spec: ClassSpec, vb: VirtualBundle) -> GradedPoly:
     return plus * minus.inverse()
 
 
-def spec_to_text(spec: ClassSpec) -> str:
-    """Printable form: a ring header, then one coefficient per degree.
-
-    Q[y] coefficients are written as space-separated rationals, constant
-    term first.
-    """
-    lines = [f"ring: {'Q[y]' if spec.has_y else 'Q'}"]
-    for c in spec.series.coeffs:
-        if isinstance(c, YPoly):
-            cs = c.coeffs if c.coeffs else (Fraction(0),)
-            lines.append(" ".join(str(q) for q in cs))
-        else:
-            lines.append(str(c))
-    return "\n".join(lines) + "\n"
-
-
 def spec_from_text(text: str, name: str = "custom") -> ClassSpec:
     has_y = None
     rows = []
@@ -646,6 +629,8 @@ def spec_from_text(text: str, name: str = "custom") -> ClassSpec:
         if not line:
             continue
         if line.startswith("ring:"):
+            if has_y is not None:
+                raise ValueError(f"line {lineno}: duplicate 'ring:' header")
             tag = line[len("ring:"):].strip()
             if tag not in ("Q", "Q[y]"):
                 raise ValueError(f"line {lineno}: unknown ring {tag!r}")

