@@ -425,12 +425,13 @@ def _parse_category_block(lines, start, name):
     objects: list[str] = []
     arrows: list[tuple[str, str, str]] = []
     compose_rows: list[tuple[int, str, str, str]] = []
+    header = lines[start - 1][0]
     i = start
     while i < len(lines):
         lineno, line = lines[i]
         i += 1
         if line == "end":
-            return _assemble_category(name, objects, arrows, compose_rows), i
+            return _assemble_category(header, name, objects, arrows, compose_rows), i
         head, _, rest = line.partition(" ")
         rest = rest.strip()
         if head == "objects":
@@ -458,10 +459,19 @@ def _parse_category_block(lines, start, name):
             compose_rows.append((lineno, second.strip(), first.strip(), result.strip()))
         else:
             raise CospanParseError(lineno, f"unrecognized line {line!r}")
-    raise CospanParseError(lines[start - 1][0], f"category {name!r} missing 'end'")
+    raise CospanParseError(header, f"category {name!r} missing 'end'")
 
 
-def _assemble_category(name, objects, arrows, compose_rows):
+def _assemble_category(header, name, objects, arrows, compose_rows):
+    # identities are implicit, so each object is a morphism too
+    for count, cap, kind in (
+        (len(objects), DEFAULT_MAX_OBJECTS, "objects"),
+        (len(objects) + len(arrows), DEFAULT_MAX_MORPHISMS, "morphisms"),
+    ):
+        if count > cap:
+            raise CospanParseError(
+                header, f"category {name!r}: {count} {kind} exceed the cap {cap}"
+            )
     obj_index = {x: i for i, x in enumerate(objects)}
     morphisms = [(f"id_{x}", i, i) for i, x in enumerate(objects)]
     mor_index = {f"id_{x}": i for i, x in enumerate(objects)}

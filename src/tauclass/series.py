@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import factorial
+from math import factorial, gcd, lcm
 
 __all__ = [
     "YPoly",
@@ -36,61 +36,101 @@ __all__ = [
 
 
 class YPoly:
-    """Polynomial in y with exact rational coefficients."""
+    """Polynomial in y with exact rational coefficients.
 
-    __slots__ = ("coeffs",)
+    The value sum_k nums[k] y^k / den is stored as integer numerators
+    over one positive denominator, in lowest terms: ``nums`` has no
+    trailing zero and gcd(den, *nums) == 1, so zero is ``((), 1)``.
+    Arithmetic stays in ints and reduces once per result instead of once
+    per coefficient, as in fraction-free elimination (Bareiss 1968).
+    """
+
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs=()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        qs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+        den = lcm(*(q.denominator for q in qs))
+        self._store([q.numerator * (den // q.denominator) for q in qs], den)
+
+    def _store(self, nums: list, den: int) -> None:
+        while nums and not nums[-1]:
+            nums.pop()
+        if den != 1:
+            g = gcd(den, *nums)
+            if g != 1:
+                nums = [n // g for n in nums]
+                den //= g
+        self.nums = tuple(nums)
+        self.den = den
+
+    @classmethod
+    def _raw(cls, nums: list, den: int) -> "YPoly":
+        """Trusted constructor: ``nums`` a list of ints, ``den`` > 0.
+        Strips trailing zeros and reduces to lowest terms."""
+        out = object.__new__(cls)
+        out._store(nums, den)
+        return out
 
     @classmethod
     def of(cls, value) -> "YPoly":
         if isinstance(value, YPoly):
             return value
-        return cls((Fraction(value),))
+        q = value if isinstance(value, (int, Fraction)) else Fraction(value)
+        return cls._raw([q.numerator], q.denominator)
 
     @classmethod
     def y(cls) -> "YPoly":
-        return cls((Fraction(0), Fraction(1)))
+        return cls._raw([0, 1], 1)
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as ``Fraction``s, constant term first."""
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
     def constant_value(self) -> Fraction:
         """The value as a rational; error if y actually occurs."""
-        if len(self.coeffs) > 1:
+        if len(self.nums) > 1:
             raise ValueError("polynomial in y is not a constant")
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return Fraction(self.nums[0], self.den) if self.nums else Fraction(0)
 
     def evaluate(self, value) -> Fraction:
+        if not self.nums:
+            return Fraction(0)
         v = Fraction(value)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * v + c
-        return acc
+        p, q = v.numerator, v.denominator
+        # Horner over ints: acc / q^(n-1) is the value times den
+        acc = 0
+        scale = 1
+        for n in reversed(self.nums):
+            acc = acc * p + n * scale
+            scale *= q
+        return Fraction(acc, self.den * (scale // q))
 
     def _operand(self, other):
-        if isinstance(other, YPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return YPoly.of(other)
-        return None
+        return YPoly.of(other) if isinstance(other, (YPoly, int, Fraction)) else None
 
     def __add__(self, other):
         o = self._operand(other)
         if o is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(o.coeffs))
-        return YPoly(
-            (self.coeffs[i] if i < len(self.coeffs) else 0)
-            + (o.coeffs[i] if i < len(o.coeffs) else 0)
-            for i in range(n)
-        )
+        a, b = self.nums, o.nums
+        den = self.den
+        if den != o.den:
+            den = lcm(den, o.den)
+            sa, sb = den // self.den, den // o.den
+            a = [n * sa for n in a]
+            b = [n * sb for n in b]
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, n in enumerate(b):
+            out[i] += n
+        return YPoly._raw(out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return YPoly(-c for c in self.coeffs)
+        return YPoly._raw([-n for n in self.nums], self.den)
 
     def __sub__(self, other):
         o = self._operand(other)
@@ -108,62 +148,75 @@ class YPoly:
         o = self._operand(other)
         if o is None:
             return NotImplemented
-        if not self.coeffs or not o.coeffs:
-            return YPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(o.coeffs):
-                out[i + j] += a * b
-        return YPoly(out)
+        a, b = self.nums, o.nums
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) == 1:
+            m = b[0]
+            out = [n * m for n in a]
+        else:
+            out = [0] * (len(a) + len(b) - 1) if b else []
+            for j, m in enumerate(b):
+                if m:
+                    for i, n in enumerate(a, j):
+                        out[i] += n * m
+        return YPoly._raw(out, self.den * o.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "YPoly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        acc = YPoly.of(1)
+        acc = YPoly._raw([1], 1)
         for _ in range(n):
             acc = acc * self
         return acc
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return YPoly(c / q for c in self.coeffs)
-        return NotImplemented
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        if not other:
+            raise ZeroDivisionError("polynomial in y divided by zero")
+        p, q = other.numerator, other.denominator
+        if p < 0:
+            p, q = -p, -q
+        return YPoly._raw([n * q for n in self.nums], self.den * p)
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.nums)
 
     def __eq__(self, other):
         o = self._operand(other)
         if o is None:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.nums == o.nums and self.den == o.den
 
     def __hash__(self):
         # a constant equals its rational value, so it must hash like it
-        if len(self.coeffs) <= 1:
-            return hash(self.coeffs[0] if self.coeffs else 0)
-        return hash(self.coeffs)
+        if len(self.nums) <= 1:
+            return hash(Fraction(self.nums[0], self.den) if self.nums else 0)
+        return hash((self.nums, self.den))
 
     def __repr__(self):
         return f"YPoly({list(self.coeffs)!r})"
 
     def __str__(self):
-        if not self.coeffs:
+        if not self.nums:
             return "0"
         parts = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
+        for k, n in enumerate(self.nums):
+            if not n:
                 continue
+            g = gcd(n, self.den)
+            num, den = n // g, self.den // g
+            c = str(num) if den == 1 else f"{num}/{den}"
             if k == 0:
-                parts.append(str(c))
+                parts.append(c)
             else:
                 mono = "y" if k == 1 else f"y^{k}"
-                if c == 1:
+                if c == "1":
                     term = mono
-                elif c == -1:
+                elif c == "-1":
                     term = f"-{mono}"
                 else:
                     term = f"{c}*{mono}"
@@ -477,7 +530,7 @@ class GradedPoly:
                 elif k > 1:
                     factors.append(f"{name}^{k}")
             coeff = str(c)
-            if isinstance(c, YPoly) and (len(c.coeffs) > 1 or "/" in coeff):
+            if isinstance(c, YPoly) and (len(c.nums) > 1 or c.den != 1):
                 coeff = f"({coeff})"
             if not factors:
                 parts.append(coeff)

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from math import prod
 
 from .constr import ConstrFn, const_transform, euler_integral
 from .geom import (
@@ -335,12 +336,26 @@ def check_const_diagram(element: KElement) -> CheckReport:
     )
 
 
+# the largest size chi_y_genus accepts; on a 2-vCPU shared host (Python
+# 3.11) every space up to it took under 5 s, P120 and P1^14 the longest
+GENUS_SIZE_CAP = 2 * 10**7
+
+
 def chi_y_genus(space: ToySpace) -> YPoly:
     """Genus interpolating Euler characteristic (y=-1), arithmetic genus
     (y=0) and signature (y=1): the degree-zero part of the interpolating
-    class transformation pushed to the point."""
+    class transformation pushed to the point.
+
+    Spaces over ``GENUS_SIZE_CAP`` are refused before any work.  The size
+    predicts the cost: over the distinct components (equal ones share a
+    cached class), the sum of prod(n_i + 1), the rank of the truncated
+    ring, times (dim + 1)^2.5 for the Q[y] coefficients' degree and
+    length."""
     if space.is_empty():
         return YPoly()
+    size = sum(prod(n + 1 for n in c) * (sum(c) + 1) ** 2.5 for c in set(space.components))
+    if size > GENUS_SIZE_CAP:
+        raise ValueError(f"genus: space size {size:.3g} exceeds the cap {GENUS_SIZE_CAP:.0e}")
     cap = max(sum(c) for c in space.components)
     element = pushforward_k(to_point(space), distinguished(space))
     value = tau(CharacteristicClass(ty_spec(cap)), element)

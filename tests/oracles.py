@@ -409,6 +409,146 @@ def spec_to_text(spec: ClassSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
+class FractionYPoly:
+    """Oracle for ``YPoly``: the former implementation, one ``Fraction``
+    per coefficient, kept verbatim for the differential tests."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    @classmethod
+    def of(cls, value) -> "FractionYPoly":
+        if isinstance(value, FractionYPoly):
+            return value
+        return cls((Fraction(value),))
+
+    @classmethod
+    def y(cls) -> "FractionYPoly":
+        return cls((Fraction(0), Fraction(1)))
+
+    def constant_value(self) -> Fraction:
+        """The value as a rational; error if y actually occurs."""
+        if len(self.coeffs) > 1:
+            raise ValueError("polynomial in y is not a constant")
+        return self.coeffs[0] if self.coeffs else Fraction(0)
+
+    def evaluate(self, value) -> Fraction:
+        v = Fraction(value)
+        acc = Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * v + c
+        return acc
+
+    def _operand(self, other):
+        if isinstance(other, FractionYPoly):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return FractionYPoly.of(other)
+        return None
+
+    def __add__(self, other):
+        o = self._operand(other)
+        if o is None:
+            return NotImplemented
+        n = max(len(self.coeffs), len(o.coeffs))
+        return FractionYPoly(
+            (self.coeffs[i] if i < len(self.coeffs) else 0)
+            + (o.coeffs[i] if i < len(o.coeffs) else 0)
+            for i in range(n)
+        )
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FractionYPoly(-c for c in self.coeffs)
+
+    def __sub__(self, other):
+        o = self._operand(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        o = self._operand(other)
+        if o is None:
+            return NotImplemented
+        return o + (-self)
+
+    def __mul__(self, other):
+        o = self._operand(other)
+        if o is None:
+            return NotImplemented
+        if not self.coeffs or not o.coeffs:
+            return FractionYPoly()
+        out = [Fraction(0)] * (len(self.coeffs) + len(o.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(o.coeffs):
+                out[i + j] += a * b
+        return FractionYPoly(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int) -> "FractionYPoly":
+        if n < 0:
+            raise ValueError("negative power of a polynomial")
+        acc = FractionYPoly.of(1)
+        for _ in range(n):
+            acc = acc * self
+        return acc
+
+    def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            q = Fraction(other)
+            return FractionYPoly(c / q for c in self.coeffs)
+        return NotImplemented
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+    def __eq__(self, other):
+        o = self._operand(other)
+        if o is None:
+            return NotImplemented
+        return self.coeffs == o.coeffs
+
+    def __hash__(self):
+        # a constant equals its rational value, so it must hash like it
+        if len(self.coeffs) <= 1:
+            return hash(self.coeffs[0] if self.coeffs else 0)
+        return hash(self.coeffs)
+
+    def __repr__(self):
+        return f"FractionYPoly({list(self.coeffs)!r})"
+
+    def __str__(self):
+        if not self.coeffs:
+            return "0"
+        parts = []
+        for k, c in enumerate(self.coeffs):
+            if c == 0:
+                continue
+            if k == 0:
+                parts.append(str(c))
+            else:
+                mono = "y" if k == 1 else f"y^{k}"
+                if c == 1:
+                    term = mono
+                elif c == -1:
+                    term = f"-{mono}"
+                else:
+                    term = f"{c}*{mono}"
+                parts.append(term)
+        text = parts[0]
+        for p in parts[1:]:
+            text += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+        return text
+
+
 def lift_to_y(poly):
     """The same polynomial with every coefficient made a ``YPoly``: the
     inclusion of Q into Q[y], written out instead of left to the mixed

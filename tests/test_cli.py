@@ -1,13 +1,19 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import tauclass
 from tauclass.abelian import PRESENTATION_CAP
 from tauclass.cli import main, schema_path
+from tauclass.series import YPoly
 from tauclass.transform import SUITE_NAMES
 
 SCHEMA = json.loads(schema_path().read_text())
@@ -44,6 +50,29 @@ class TestGenusCommand:
         code, out = run_cli(capsys, "genus", "P1")
         assert code == 0
         assert "1 - y" in out
+
+    def test_just_under_size_cap_computed(self, capsys):
+        # size 1.83e7: P12 x P12 x P13 is over GENUS_SIZE_CAP (test below)
+        code, payload, _ = run_json(capsys, "genus", "P12 x P12 x P12")
+        assert code == 0
+        assert payload["chi_y"] == str(YPoly([(-1) ** p for p in range(13)]) ** 3)
+
+    @pytest.mark.parametrize(
+        "space,size",
+        [("P121", "2.01e+07"), ("P12 x P12 x P13", "2.11e+07"),
+         ("P100 + P80 + P60 x P1 + P40 x P3", "2.09e+07"),
+         # equal components share one cached class, so they count once
+         ("P121 + P121", "2.01e+07")],
+    )
+    def test_over_size_cap_is_usage_error(self, capsys, space, size):
+        start = time.perf_counter()
+        code = main(["genus", space])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: genus: space size {size} exceeds the cap 2e+07\n"
+        assert elapsed < 1  # refused before the class is built
 
 
 class TestClassesCommand:
@@ -264,6 +293,20 @@ def chain_cospan_text(n):
     return text
 
 
+def parallel_cospan_text(n_arrows):
+    """A source with objects a, b and ``n_arrows`` parallel arrows a -> b
+    (so n_arrows + 2 morphisms), over a one-object base and target."""
+    arrows = "".join(f"arrow f{i} : a -> b\n" for i in range(n_arrows))
+    rows = "".join(f"arrow f{i} = id_b\n" for i in range(n_arrows))
+    return (
+        "category base\nobjects b\nend\n"
+        f"category source\nobjects a b\n{arrows}end\n"
+        "category target\nobjects x\nend\n"
+        f"functor S : source -> base\nobj a = b\nobj b = b\n{rows}end\n"
+        "functor T : target -> base\nobj x = b\nend\n"
+    )
+
+
 class TestCommaCommand:
     @pytest.mark.parametrize(
         "text,size",
@@ -287,6 +330,37 @@ class TestCommaCommand:
         ids=["72-objects", "540-morphisms"],
     )
     def test_over_cap_is_usage_error(self, capsys, tmp_path, text, message):
+        path = tmp_path / "cospan.txt"
+        path.write_text(text)
+        code = main(["comma", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "text,size",
+        [(discrete_cospan_text(64, 1), (64, 64)), (parallel_cospan_text(510), (2, 512))],
+        ids=["source-64-objects", "source-512-morphisms"],
+    )
+    def test_category_at_cap_built(self, capsys, tmp_path, text, size):
+        path = tmp_path / "cospan.txt"
+        path.write_text(text)
+        code, payload, _ = run_json(capsys, "comma", str(path))
+        assert code == 0
+        assert (payload["objects"], payload["morphisms"]) == size
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            (discrete_cospan_text(65, 1),
+             "line 4: category 'source': 65 objects exceed the cap 64"),
+            (parallel_cospan_text(511),
+             "line 4: category 'source': 513 morphisms exceed the cap 512"),
+        ],
+        ids=["source-65-objects", "source-513-morphisms"],
+    )
+    def test_category_over_cap_names_its_block(self, capsys, tmp_path, text, message):
         path = tmp_path / "cospan.txt"
         path.write_text(text)
         code = main(["comma", str(path)])
@@ -602,6 +676,31 @@ class TestGoldenOutput:
         code, out = run_cli(capsys, *argv, "--format", "text")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (("classes", "P60", "--class", "ty", "--max-degree", "60"),
+             "9fc63310ffae5e7fc3ae218f4081ed08be842c813574e4f21140741409a66f76"),
+            (("genus", "P60"),
+             "4bb30fa818f03704f3ed035448aebbdfa879957fab02c22f5bab606dd8debe72"),
+        ],
+        ids=["ty-P60", "genus-P60"],
+    )
+    def test_q_y_arithmetic_within_budget(self, argv, digest):
+        # a fresh interpreter, so no cached class helps.  With one Fraction
+        # per Q[y] coefficient each command took about 8 s on a 2-vCPU host;
+        # with integer numerators over one denominator, about 1 s.
+        env = dict(os.environ, PYTHONPATH=str(Path(tauclass.__file__).parents[1]))
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "tauclass.cli", *argv, "--format", "json"],
+            capture_output=True, env=env, timeout=120,
+        )
+        elapsed = time.perf_counter() - start
+        assert done.returncode == 0
+        assert hashlib.sha256(done.stdout).hexdigest() == digest
+        assert elapsed < 5, f"{' '.join(argv)} took {elapsed:.1f} s"
 
     def test_cap_far_above_dimension(self, capsys):
         # the spec is built only as far as the space needs; output unchanged
