@@ -423,7 +423,7 @@ def _parse_category_block(lines, start, name):
     implicit; composites of non-identity arrows come from 'compose' rows
     (``compose g . f = h`` means g after f)."""
     objects: list[str] = []
-    arrows: list[tuple[str, str, str]] = []
+    arrows: list[tuple[int, str, str, str]] = []
     compose_rows: list[tuple[int, str, str, str]] = []
     header = lines[start - 1][0]
     i = start
@@ -447,7 +447,7 @@ def _parse_category_block(lines, start, name):
                 src, tgt = endpoints.split("->")
             except ValueError:
                 raise CospanParseError(lineno, "expected 'arrow f : a -> b'") from None
-            arrows.append((decl.strip(), src.strip(), tgt.strip()))
+            arrows.append((lineno, decl.strip(), src.strip(), tgt.strip()))
         elif head == "compose":
             try:
                 left, result = rest.split("=")
@@ -475,11 +475,13 @@ def _assemble_category(header, name, objects, arrows, compose_rows):
     obj_index = {x: i for i, x in enumerate(objects)}
     morphisms = [(f"id_{x}", i, i) for i, x in enumerate(objects)]
     mor_index = {f"id_{x}": i for i, x in enumerate(objects)}
-    for label, src, tgt in arrows:
+    for lineno, label, src, tgt in arrows:
         if src not in obj_index or tgt not in obj_index:
-            raise ValueError(f"category {name!r}: arrow {label!r} uses unknown object")
+            raise CospanParseError(
+                lineno, f"category {name!r}: arrow {label!r} uses unknown object"
+            )
         if label in mor_index:
-            raise ValueError(f"category {name!r}: duplicate arrow {label!r}")
+            raise CospanParseError(lineno, f"category {name!r}: duplicate arrow {label!r}")
         mor_index[label] = len(morphisms)
         morphisms.append((label, obj_index[src], obj_index[tgt]))
     composition = {}

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from math import comb
 
 from .series import GradedPoly
 
@@ -355,8 +356,13 @@ def relative_tangent(f: ToyMorphism) -> TangentData:
         rank = 0
         for s in f.unassigned(i):
             n = comp[s]
-            factor = GradedPoly.one(comp) + GradedPoly.variable(comp, s)
-            acc = acc * factor ** (n + 1)
+            # (1 + h_s)^(n+1) with h_s^(n+1) = 0: binomial coefficients up to n
+            power = {}
+            for k in range(n + 1):
+                exp = [0] * len(comp)
+                exp[s] = k
+                power[tuple(exp)] = Fraction(comb(n + 1, k))
+            acc = acc * GradedPoly._trusted(comp, power)
             rank += n
         polys.append(acc)
         ranks.append(rank)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import factorial, gcd, lcm
 
 __all__ = [
@@ -233,6 +233,154 @@ def _coeff(value):
     return value if isinstance(value, (Fraction, YPoly)) else Fraction(value)
 
 
+class _Layout:
+    """Exponent tuples within ``dims`` packed into one int.
+
+    Variable i takes the field of bits [i*w, (i+1)*w), with
+    w = max(dims).bit_length() + 2.  Adding ``off`` (2^(w-1) - 1 - n_i in
+    field i) to the sum of two packed exponents sets a field's top bit
+    exactly when e_i + f_i > n_i, so one test ``(k1 + k2 + off) & mask``
+    rejects a truncated product, and no field ever carries into the next.
+    """
+
+    __slots__ = ("shifts", "field", "off", "mask", "keys", "exps")
+
+    def __init__(self, dims: tuple[int, ...]):
+        w = max(dims, default=0).bit_length() + 2
+        self.shifts = tuple(range(0, w * len(dims), w))
+        self.field = (1 << w) - 1
+        top = 1 << (w - 1)
+        self.off = sum((top - 1 - n) << s for n, s in zip(dims, self.shifts))
+        self.mask = sum(top << s for s in self.shifts)
+        # both directions memoized: at most one entry per monomial of the ring
+        self.keys: dict[tuple[int, ...], int] = {}
+        self.exps: dict[int, tuple[int, ...]] = {}
+
+    def pack(self, exp) -> int:
+        key = self.keys.get(exp)
+        if key is None:
+            key = self.keys[exp] = sum(e << s for e, s in zip(exp, self.shifts))
+        return key
+
+    def unpack(self, key: int) -> tuple[int, ...]:
+        exp = self.exps.get(key)
+        if exp is None:
+            field = self.field
+            exp = self.exps[key] = tuple((key >> s) & field for s in self.shifts)
+        return exp
+
+
+@lru_cache(maxsize=None)
+def _layout(dims: tuple[int, ...]) -> _Layout:
+    return _Layout(dims)
+
+
+# A packed polynomial is (nums, den): a dict from packed exponents to int or
+# YPoly numerators, over one positive int denominator.  An int numerator n
+# stands for the Fraction n/den and a YPoly one for the YPoly N/den, so
+# every coefficient keeps the type the Fraction/YPoly operators give it.
+
+
+def _lift(terms: dict, layout: _Layout):
+    """Packed form of GradedPoly terms, over the lcm of the ``Fraction``
+    denominators."""
+    den = lcm(*(c.denominator for c in terms.values() if type(c) is Fraction))
+    pack = layout.pack
+    return {
+        pack(e): c.numerator * (den // c.denominator) if type(c) is Fraction
+        else c if den == 1 else c * den
+        for e, c in terms.items()
+    }, den
+
+
+def _lift_parts(terms: dict, layout: _Layout, top: int) -> list:
+    """One packed homogeneous part per total degree 0..top."""
+    groups = [{} for _ in range(top + 1)]
+    for e, c in terms.items():
+        groups[sum(e)][e] = c
+    return [_lift(g, layout) for g in groups]
+
+
+def _lower(part, layout: _Layout, out: dict) -> None:
+    """Add a packed part's terms to ``out`` as ``Fraction``/``YPoly``."""
+    nums, den = part
+    unpack = layout.unpack
+    for k, n in nums.items():
+        out[unpack(k)] = Fraction(n, den) if type(n) is int else n if den == 1 else n / den
+
+
+def _reduced(part):
+    """Divide the int numerators and the denominator by their gcd."""
+    nums, den = part
+    g = gcd(den, *(n for n in nums.values() if type(n) is int))
+    if g == 1:
+        return part
+    return {k: n // g if type(n) is int else n / g for k, n in nums.items()}, den // g
+
+
+def _scaled(part, value):
+    """``GradedPoly.scale`` on a packed part."""
+    if value == 1:
+        return part
+    nums, den = part
+    if not value:
+        return {}, 1
+    if isinstance(value, YPoly):
+        return {k: n * value for k, n in nums.items()}, den
+    m = value.numerator
+    nums = {k: n * m for k, n in nums.items()}
+    return (nums, den) if value.denominator == 1 else _reduced((nums, den * value.denominator))
+
+
+def _part_sum(pairs, layout: _Layout, init=({}, 1)):
+    """``init`` + sum a*b over the packed parts (a, b) in ``pairs``, over
+    the lcm of the denominators.  Each truncated product is summed on its
+    own and then added, in the order and with the cancellations of
+    ``acc + a * b`` on ``GradedPoly``: where a sum passes through zero
+    decides whether a coefficient ends up a ``Fraction`` or a ``YPoly``."""
+    off, mask = layout.off, layout.mask
+    den = lcm(init[1], *(a[1] * b[1] for a, b in pairs))
+    s = den // init[1]
+    acc = {k: n * s for k, n in init[0].items()}
+    for (a, da), (b, db) in pairs:
+        s = den // (da * db)
+        prod = {}
+        get = prod.get
+        for k1, c1 in a.items():
+            k1 += off
+            if s != 1:
+                c1 = c1 * s
+            for k2, c2 in b.items():
+                k = k1 + k2
+                if k & mask:
+                    continue
+                k -= off
+                prev = get(k)
+                if prev is None:
+                    prod[k] = c1 * c2
+                else:
+                    c = prev + c1 * c2
+                    if c:
+                        prod[k] = c
+                    else:
+                        del prod[k]
+        if not acc:
+            acc = prod
+            continue
+        get = acc.get
+        for k, c in prod.items():
+            prev = get(k)
+            if prev is None:
+                acc[k] = c
+            else:
+                c = prev + c
+                if c:
+                    acc[k] = c
+                else:
+                    del acc[k]
+    return acc, den
+
+
 def _valid_dims(dims) -> tuple[int, ...]:
     dims = tuple(int(n) for n in dims)
     if any(n < 0 for n in dims):
@@ -250,6 +398,14 @@ class ClassSpec:
     def __post_init__(self):
         if self.series[0] != 1:
             raise ValueError("class series must be normalized: f(0) = 1")
+
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # a spec keys the class caches, so its series is hashed only once
+        return hash((self.name, self.series))
 
     @property
     def has_y(self) -> bool:
@@ -439,18 +595,10 @@ class GradedPoly:
         if isinstance(other, (int, Fraction, YPoly)):
             return self.scale(other)
         self._check(other)
+        layout = _layout(self.dims)
+        pair = (_lift(self.terms, layout), _lift(other.terms, layout))
         data = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                if any(x > n for x, n in zip(e, self.dims)):
-                    continue
-                prev = data.get(e)
-                s = c1 * c2 if prev is None else prev + c1 * c2
-                if s:
-                    data[e] = s
-                elif e in data:
-                    del data[e]
+        _lower(_part_sum([pair], layout), layout, data)
         return self._trusted(self.dims, data)
 
     __rmul__ = __mul__
@@ -479,20 +627,17 @@ class GradedPoly:
             raise ValueError("constant term is not a unit")
         # the degree-k part of self * I = 1, with X_j the degree-j part of
         # self, gives I_0 = 1/c0 and I_k = -(1/c0) sum_{j=1..k} X_j I_{k-j}
-        x = [self.graded_part(d) for d in range(self.total_degree_cap() + 1)]
+        layout = _layout(self.dims)
+        x = _lift_parts(self.terms, layout, self.total_degree_cap())
         inv0 = Fraction(1) / unit
-        parts = [self.constant(self.dims, inv0)]
-        result = parts[0]
+        parts = [({0: inv0.numerator}, inv0.denominator)]
         for k in range(1, len(x)):
-            acc = self._trusted(self.dims, {})
-            for j in range(1, k + 1):
-                if x[j].is_zero() or parts[k - j].is_zero():
-                    continue
-                acc = acc + x[j] * parts[k - j]
-            part = acc.scale(-inv0)
-            parts.append(part)
-            result = result + part
-        return result
+            pairs = [(x[j], parts[k - j]) for j in range(1, k + 1) if x[j][0] and parts[k - j][0]]
+            parts.append(_scaled(_part_sum(pairs, layout), -inv0))
+        data = {}
+        for part in parts:
+            _lower(part, layout, data)
+        return self._trusted(self.dims, data)
 
     def specialize_y(self, value) -> "GradedPoly":
         """Substitute ``value`` for y; ``Fraction`` coefficients stay as they are."""
@@ -583,15 +728,39 @@ class Series1(GradedPoly):
     def log(self) -> "Series1":
         if self[0] != 1:
             raise ValueError("log needs constant term 1")
-        f = self.coeffs
-        out = [Fraction(0)] * (self.cap + 1)
-        # k a_k = k f_k - sum_{j=1}^{k-1} j a_j f_{k-j}
-        for k in range(1, self.cap + 1):
-            acc = k * f[k]
-            for j in range(1, k):
-                acc = acc - (j * out[j]) * f[k - j]
-            out[k] = acc / k
-        return self._trusted(self.dims, {(k,): a for k, a in enumerate(out) if a})
+        cap = self.cap
+        nums, den = _lift(self.terms, _layout(self.dims))
+        f = [nums.get(k, 0) for k in range(cap + 1)]
+        support = [i for i in range(1, cap + 1) if f[i]]
+        # c_k = k a_k = k f_k - sum_{i=1}^{k-1} f_i c_{k-i}; the f_i are
+        # numerators over den, and every c_j is kept over one running
+        # denominator m, so the sum is a dot product of ints
+        c = [0] * (cap + 1)
+        m = 1
+        for k in range(1, cap + 1):
+            acc = k * f[k] * m
+            for i in support:
+                if i >= k:
+                    break
+                acc = acc - f[i] * c[k - i]
+            # acc / (den * m) is c_k
+            if type(acc) is int:
+                g = gcd(acc, den * m)
+                q = den * m // g
+                grown = lcm(m, q)
+                if grown != m:
+                    s = grown // m
+                    c = [n * s for n in c]
+                    m = grown
+                c[k] = acc // g * (m // q)
+            else:
+                c[k] = acc / den
+        data = {}
+        for k in range(1, cap + 1):
+            a = Fraction(c[k], m * k) if type(c[k]) is int else c[k] / (m * k)
+            if a:
+                data[(k,)] = a
+        return self._trusted(self.dims, data)
 
     def __repr__(self):
         return f"Series1({[str(c) for c in self.coeffs]})"
@@ -632,39 +801,35 @@ def multiplicative_class(spec: ClassSpec, total_chern: GradedPoly, rank: int) ->
     if total_chern.constant_term() != 1:
         raise ValueError("total Chern class must have constant term 1")
     top = total_chern.total_degree_cap()
+    layout = _layout(dims)
+    e = _lift_parts(total_chern.terms, layout, top)
     for d in range(rank + 1, top + 1):
-        if not total_chern.graded_part(d).is_zero():
+        if e[d][0]:
             raise ValueError(f"Chern part in degree {d} exceeds rank {rank}")
     b = _log_coefficients(spec, top)
-    e = [total_chern.graded_part(d) for d in range(top + 1)]
 
-    def e_part(j):
-        return e[j] if j <= min(rank, top) else GradedPoly.zero(dims)
-
-    p = [GradedPoly.zero(dims)]
+    # p_k = (-1)^(k-1) k e_k + sum_{i=1}^{k-1} (-1)^(i-1) e_i p_{k-i}
+    signed = [_scaled(part, 1 if i % 2 else -1) for i, part in enumerate(e)]
+    p = [({}, 1)]
     for k in range(1, top + 1):
-        acc = e_part(k).scale(((-1) ** (k - 1)) * k)
-        for i in range(1, k):
-            acc = acc + (e_part(i) * p[k - i]).scale((-1) ** (i - 1))
-        p.append(acc)
+        pairs = [(signed[i], p[k - i]) for i in range(1, k) if signed[i][0] and p[k - i][0]]
+        p.append(_reduced(_part_sum(pairs, layout, _scaled(e[k], (-1) ** (k - 1) * k))))
 
     # exp of arg = sum_j A_j, A_j = b_j p_j homogeneous of degree j: the
     # degree operator D is a derivation (it descends to the quotient because
     # the ideal (h_i^{n_i+1}) is homogeneous) with D(exp A) = D(A) exp A, so
     # the degree-k part is E_k = (1/k) sum_{j=1..k} (j A_j) E_{k-j}.
-    d_arg = [p[j].scale(j * b[j]) for j in range(top + 1)]
-    parts = [GradedPoly.one(dims)]
-    result = parts[0]
+    d_arg = [_scaled(p[j], j * b[j]) for j in range(top + 1)]
+    parts = [({0: 1}, 1)]
     for k in range(1, top + 1):
-        acc = GradedPoly.zero(dims)
-        for j in range(1, k + 1):
-            if d_arg[j].is_zero() or parts[k - j].is_zero():
-                continue
-            acc = acc + d_arg[j] * parts[k - j]
-        part = acc.scale(Fraction(1, k))
-        parts.append(part)
-        result = result + part
-    return result
+        pairs = [
+            (d_arg[j], parts[k - j]) for j in range(1, k + 1) if d_arg[j][0] and parts[k - j][0]
+        ]
+        parts.append(_scaled(_part_sum(pairs, layout), Fraction(1, k)))
+    data = {}
+    for part in parts:
+        _lower(part, layout, data)
+    return GradedPoly._trusted(dims, data)
 
 
 def virtual_class(spec: ClassSpec, vb: VirtualBundle) -> GradedPoly:

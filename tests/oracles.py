@@ -21,7 +21,7 @@ from tauclass.cat import (
     FinCategory,
     FinFunctor,
 )
-from tauclass.series import ClassSpec, YPoly
+from tauclass.series import ClassSpec, GradedPoly, Series1, YPoly
 
 
 def bernoulli_plus(n_max: int) -> list[Fraction]:
@@ -595,6 +595,136 @@ def inverse_by_geometric_series(poly):
             break
         acc = acc + term
     return acc.scale(Fraction(1) / unit)
+
+
+class FractionGradedPoly(GradedPoly):
+    """Oracle for the packed kernel: ``GradedPoly`` with the product and
+    inverse it had before, one ``Fraction`` or ``YPoly`` operation per
+    coefficient, kept verbatim for the differential tests.  Results keep
+    the class, so every product inside them runs on the old loop too."""
+
+    __slots__ = ()
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction, YPoly)):
+            return self.scale(other)
+        self._check(other)
+        data = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                if any(x > n for x, n in zip(e, self.dims)):
+                    continue
+                prev = data.get(e)
+                s = c1 * c2 if prev is None else prev + c1 * c2
+                if s:
+                    data[e] = s
+                elif e in data:
+                    del data[e]
+        return self._trusted(self.dims, data)
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "GradedPoly":
+        c0 = self.constant_term()
+        unit = c0.constant_value() if isinstance(c0, YPoly) else Fraction(c0)
+        if unit == 0:
+            raise ValueError("constant term is not a unit")
+        # the degree-k part of self * I = 1, with X_j the degree-j part of
+        # self, gives I_0 = 1/c0 and I_k = -(1/c0) sum_{j=1..k} X_j I_{k-j}
+        x = [self.graded_part(d) for d in range(self.total_degree_cap() + 1)]
+        inv0 = Fraction(1) / unit
+        parts = [self.constant(self.dims, inv0)]
+        result = parts[0]
+        for k in range(1, len(x)):
+            acc = self._trusted(self.dims, {})
+            for j in range(1, k + 1):
+                if x[j].is_zero() or parts[k - j].is_zero():
+                    continue
+                acc = acc + x[j] * parts[k - j]
+            part = acc.scale(-inv0)
+            parts.append(part)
+            result = result + part
+        return result
+
+
+class FractionSeries1(FractionGradedPoly, Series1):
+    """``Series1`` with the ``log`` recurrence it had before, in one
+    ``Fraction`` or ``YPoly`` per coefficient, kept verbatim."""
+
+    __slots__ = ()
+
+    def log(self) -> "Series1":
+        if self[0] != 1:
+            raise ValueError("log needs constant term 1")
+        f = self.coeffs
+        out = [Fraction(0)] * (self.cap + 1)
+        # k a_k = k f_k - sum_{j=1}^{k-1} j a_j f_{k-j}
+        for k in range(1, self.cap + 1):
+            acc = k * f[k]
+            for j in range(1, k):
+                acc = acc - (j * out[j]) * f[k - j]
+            out[k] = acc / k
+        return self._trusted(self.dims, {(k,): a for k, a in enumerate(out) if a})
+
+
+def as_fraction_kernel(poly):
+    """The same value as a ``FractionGradedPoly`` (a ``FractionSeries1`` for
+    a ``Series1``), sharing its terms."""
+    cls = FractionSeries1 if isinstance(poly, Series1) else FractionGradedPoly
+    return cls._trusted(poly.dims, poly.terms)
+
+
+def _log_coefficients(spec: ClassSpec, upto: int):
+    spec.require_degree(upto)
+    return as_fraction_kernel(spec.series).log().coeffs[: upto + 1]
+
+
+def fraction_multiplicative_class(spec: ClassSpec, total_chern: GradedPoly, rank: int) -> GradedPoly:
+    """Oracle for ``multiplicative_class``: its former body, kept verbatim
+    but for ``FractionGradedPoly`` in place of ``GradedPoly`` and the log
+    taken by ``FractionSeries1.log``, so that no step runs on the packed
+    form."""
+    total_chern = as_fraction_kernel(total_chern)
+    if rank < 0:
+        raise ValueError("rank must be >= 0")
+    dims = total_chern.dims
+    if total_chern.constant_term() != 1:
+        raise ValueError("total Chern class must have constant term 1")
+    top = total_chern.total_degree_cap()
+    for d in range(rank + 1, top + 1):
+        if not total_chern.graded_part(d).is_zero():
+            raise ValueError(f"Chern part in degree {d} exceeds rank {rank}")
+    b = _log_coefficients(spec, top)
+    e = [total_chern.graded_part(d) for d in range(top + 1)]
+
+    def e_part(j):
+        return e[j] if j <= min(rank, top) else FractionGradedPoly.zero(dims)
+
+    p = [FractionGradedPoly.zero(dims)]
+    for k in range(1, top + 1):
+        acc = e_part(k).scale(((-1) ** (k - 1)) * k)
+        for i in range(1, k):
+            acc = acc + (e_part(i) * p[k - i]).scale((-1) ** (i - 1))
+        p.append(acc)
+
+    # exp of arg = sum_j A_j, A_j = b_j p_j homogeneous of degree j: the
+    # degree operator D is a derivation (it descends to the quotient because
+    # the ideal (h_i^{n_i+1}) is homogeneous) with D(exp A) = D(A) exp A, so
+    # the degree-k part is E_k = (1/k) sum_{j=1..k} (j A_j) E_{k-j}.
+    d_arg = [p[j].scale(j * b[j]) for j in range(top + 1)]
+    parts = [FractionGradedPoly.one(dims)]
+    result = parts[0]
+    for k in range(1, top + 1):
+        acc = FractionGradedPoly.zero(dims)
+        for j in range(1, k + 1):
+            if d_arg[j].is_zero() or parts[k - j].is_zero():
+                continue
+            acc = acc + d_arg[j] * parts[k - j]
+        part = acc.scale(Fraction(1, k))
+        parts.append(part)
+        result = result + part
+    return result
 
 
 def canonical_class_by_permutations(comp_dims, leg):

@@ -445,6 +445,27 @@ class TestCommaCommand:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            (with_source_arrow("f : v0 -> q"),
+             "line 4: category 'source': arrow 'f' uses unknown object"),
+            (with_source_arrow("f : v0 -> v1\narrow f : v1 -> v1"),
+             "line 5: category 'source': duplicate arrow 'f'"),
+            (with_source_arrow("id_v0 : v0 -> v0"),
+             "line 4: category 'source': duplicate arrow 'id_v0'"),
+        ],
+        ids=["unknown-object", "repeated-arrow", "arrow-named-like-identity"],
+    )
+    def test_bad_arrow_names_its_line(self, capsys, tmp_path, text, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        code = main(["comma", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
 
 MONOID_2A2B = "gens: 2\nrel: 2 0 = 0 2\n"
 
@@ -701,6 +722,32 @@ class TestGoldenOutput:
         assert done.returncode == 0
         assert hashlib.sha256(done.stdout).hexdigest() == digest
         assert elapsed < 5, f"{' '.join(argv)} took {elapsed:.1f} s"
+
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (("classes", "P400", "--class", "chern", "--max-degree", "400"),
+             "27cad10837a80bdffad0cf0aeba832ba9e8bc656b9785e98b9074b5f1f268411"),
+            (("classes", "P300", "--class", "todd", "--max-degree", "300"),
+             "331d58612d21542180dc7181c84e2c1ebaa315810e91ae4cd8ecf80b9c803c3f"),
+        ],
+        ids=["chern-P400", "todd-P300"],
+    )
+    def test_q_arithmetic_within_budget(self, argv, digest):
+        # a fresh interpreter, so no cached class helps.  With one Fraction
+        # per coefficient operation and (1+h)^401 built by 401 products,
+        # each command took 3.5-4.5 s on a 2-vCPU host; with packed
+        # exponents and int numerators over one denominator, 0.4-0.7 s.
+        env = dict(os.environ, PYTHONPATH=str(Path(tauclass.__file__).parents[1]))
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "tauclass.cli", *argv, "--format", "json"],
+            capture_output=True, env=env, timeout=120,
+        )
+        elapsed = time.perf_counter() - start
+        assert done.returncode == 0
+        assert hashlib.sha256(done.stdout).hexdigest() == digest
+        assert elapsed < 1.5, f"{' '.join(argv)} took {elapsed:.1f} s"
 
     def test_cap_far_above_dimension(self, capsys):
         # the spec is built only as far as the space needs; output unchanged

@@ -426,3 +426,22 @@ class TestInclusionsAndEnumeration:
     def test_empty_space_morphism(self):
         bang = ToyMorphism(EMPTY, P2, ())
         assert pushforward(bang, HClass.zero(EMPTY)) == HClass.zero(P2)
+
+
+class TestTangentBinomials:
+    @pytest.mark.parametrize(
+        "space",
+        [POINT, P1, projective(0, 2), projective(3, 0, 1), projective(2, 2, 1),
+         disjoint_union(projective(4), projective(1, 3))],
+    )
+    def test_equals_repeated_products(self, space):
+        # (1 + h_s)^(n_s + 1) built from binomials equals the product taken
+        # n_s + 1 times, term by term, in order and as Fractions
+        td = tangent_chern(space)
+        for comp, poly in zip(space.components, td.polys):
+            one = GradedPoly.one(comp)
+            expect = one
+            for s, n in enumerate(comp):
+                expect = expect * (one + GradedPoly.variable(comp, s)) ** (n + 1)
+            assert list(poly.terms.items()) == list(expect.terms.items())
+            assert all(type(c) is Fraction for c in poly.terms.values())

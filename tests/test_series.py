@@ -518,3 +518,24 @@ class TestSpecSerialization:
     def test_q_ring_rejects_vectors(self):
         with pytest.raises(ValueError, match="one rational"):
             spec_from_text("ring: Q\n1 2\n")
+
+
+class TestClassSpecHash:
+    def test_equal_specs_hash_equal(self):
+        a, b = todd_spec(6), todd_spec(6)
+        assert a is not b and a == b
+        assert hash(a) == hash(b) == hash(("todd", a.series))
+
+    def test_series_hashed_once(self, monkeypatch):
+        calls = []
+        original = GradedPoly.__hash__
+
+        def counting(self):
+            calls.append(self)
+            return original(self)
+
+        spec = ty_spec(5)
+        monkeypatch.setattr(GradedPoly, "__hash__", counting)
+        first = hash(spec)
+        assert all(hash(spec) == first for _ in range(5))
+        assert len(calls) == 1
